@@ -116,7 +116,6 @@ def _measure(tmp_path):
 
 def test_service_throughput(benchmark, tmp_path, monkeypatch):
     monkeypatch.delenv("CAPMAN_DIST_SECRET", raising=False)
-    monkeypatch.delenv("CAPMAN_DIST_WORKERS", raising=False)
     (spec, serial, serial_wall, served, service_wall, submit_latency,
      status, deduped, journal) = benchmark.pedantic(
         lambda: _measure(tmp_path), rounds=1, iterations=1)

@@ -29,7 +29,6 @@ Two structural tricks keep that contract watertight:
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -46,10 +45,6 @@ from .state import FleetState
 from . import capman as _capman  # noqa: F401  (registers VectorCapmanDriver)
 
 __all__ = ["FleetSimulator"]
-
-#: Env var read by :meth:`FleetSimulator.run_sharded` when the caller
-#: does not pass an explicit shard count.
-SHARDS_ENV = "CAPMAN_FLEET_SHARDS"
 
 _BIG = BatterySelection.BIG
 _LITTLE = BatterySelection.LITTLE
@@ -144,8 +139,7 @@ class FleetSimulator:
         self._export_counters()
         return self.results()
 
-    def run_sharded(self, shards: Optional[int] = None
-                    ) -> List[DischargeResult]:
+    def run_sharded(self, shards: int) -> List[DischargeResult]:
         """Row-shard the batch across worker processes.
 
         Rows are independent (the hypothesis property suite proves it),
@@ -153,18 +147,14 @@ class FleetSimulator:
         rows inside a worker, run to completion, and the concatenated
         results are byte-equal to :meth:`run`'s, row for row.
 
-        ``shards=None`` reads the ``CAPMAN_FLEET_SHARDS`` env var
-        (default 1); a count of 1 (or a single-row fleet) runs
-        :meth:`run` in-process.  Work counters (``fallback_steps``,
+        A count of 1 (or a single-row fleet) runs :meth:`run`
+        in-process.  Work counters (``fallback_steps``,
         ``table_compiles``, ``trajectory_dedupe_hits``) are aggregated
         from the shards -- note dedupe only applies *within* a shard,
         so a sharded run may report fewer dedupe hits than an
         in-process one.  The parent simulator's per-step state is left
         untouched; only the results and counters come back.
         """
-        if shards is None:
-            raw = os.environ.get(SHARDS_ENV, "1").strip() or "1"
-            shards = int(raw)
         shards = max(1, min(int(shards), self.n))
         if shards == 1:
             return self.run()

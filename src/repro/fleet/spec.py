@@ -19,7 +19,7 @@ FleetSimulator` advances in lockstep:
 Devices the vectorised path cannot reproduce exactly (single-battery
 packs, overridden demand filters, supervised/fault policies, custom
 component subclasses) raise :class:`UnsupportedDeviceError` -- callers
-like the sweep runner route those rows to the scalar engine instead.
+like ``FleetExecutor`` route those rows to the scalar engine instead.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from ..workload.base import Segment
 from ..workload.traces import Trace
 
 __all__ = ["DeviceSpec", "FleetSpec", "UnsupportedDeviceError",
-           "supports_policy", "NODE_NAMES"]
+           "supports_policy", "unsupported_reason", "NODE_NAMES"]
 
 #: Canonical node order of the phone thermal network; the fleet's
 #: ``node_temps`` columns use these indices.
@@ -166,20 +166,23 @@ def _check_pack(pack) -> Optional[str]:
     return None
 
 
-def supports_policy(policy: SchedulingPolicy) -> bool:
-    """Whether the fleet path can reproduce this policy's cycle exactly.
-
-    Probes :meth:`~repro.sim.discharge.SchedulingPolicy.build_pack` on
-    a throwaway instance, so it is safe to call on a template policy.
-    """
+def unsupported_reason(policy: SchedulingPolicy) -> Optional[str]:
+    """Why the fleet path cannot reproduce this policy's cycle exactly
+    (None when it can).  Probes ``build_pack`` on a throwaway instance,
+    so it is safe to call on a template policy."""
     reason = _check_policy(policy)
     if reason is not None:
-        return False
+        return reason
     try:
         pack = policy.build_pack()
-    except Exception:
-        return False
-    return _check_pack(pack) is None
+    except Exception as exc:
+        return f"build_pack raised {type(exc).__name__}"
+    return _check_pack(pack)
+
+
+def supports_policy(policy: SchedulingPolicy) -> bool:
+    """Whether the fleet path can reproduce this policy's cycle exactly."""
+    return unsupported_reason(policy) is None
 
 
 class FleetSpec:

@@ -283,6 +283,7 @@ class CapmanService:
         max_body_bytes: int = DEFAULT_MAX_BODY,
         events_poll_s: float = 0.05,
         retry: Optional[RetryPolicy] = None,
+        dist_workers: int = 0,
     ) -> None:
         self.root = Path(root)
         self.metrics = ServiceMetrics()
@@ -291,7 +292,8 @@ class CapmanService:
         self.events_poll_s = events_poll_s
         self.store = JobStore(self.root, cell_workers=cell_workers,
                               job_runners=job_runners,
-                              metrics=self.metrics, retry=retry)
+                              metrics=self.metrics, retry=retry,
+                              dist_workers=dist_workers)
         self.httpd = ThreadingHTTPServer((host, port), _Handler)
         self.httpd.daemon_threads = True
         self.httpd.service = self  # type: ignore[attr-defined]

@@ -21,7 +21,7 @@ spec" and "a sweep result exists":
 * **Execution.**  Runner threads drain a FIFO queue and drive
   :meth:`~repro.sim.sweep.ScenarioRunner.run_or_resume` -- the
   :class:`~repro.sim.executors.LocalProcessExecutor` by default, or
-  the distributed TCP backend when ``CAPMAN_DIST_WORKERS`` is set.
+  the distributed TCP backend with ``dist_workers > 0`` spawned workers.
 
 The store never touches the process-global observability session:
 request/queue metrics go to the service-owned registry handed in by
@@ -31,7 +31,6 @@ the app, keeping the repo's obs-off invisibility guarantees intact.
 from __future__ import annotations
 
 import hashlib
-import os
 import pickle
 import queue
 import threading
@@ -48,12 +47,7 @@ from ..sim.sweep import (ScenarioRunner, SweepCache, SweepResult, SweepSpec,
                          cell_key, code_salt)
 from .schemas import ApiError
 
-__all__ = ["Job", "JobStore", "job_id_for", "DIST_WORKERS_ENV"]
-
-#: Set to a positive worker count to execute service jobs on the
-#: distributed TCP backend (spawned local worker subprocesses) instead
-#: of the in-process pool.
-DIST_WORKERS_ENV = "CAPMAN_DIST_WORKERS"
+__all__ = ["Job", "JobStore", "job_id_for"]
 
 #: Job lifecycle states (the service's state machine; see DESIGN §15).
 QUEUED, RUNNING, DONE, FAILED = "queued", "running", "done", "failed"
@@ -104,10 +98,12 @@ class JobStore:
         job_runners: int = 2,
         metrics: Any = None,
         retry: Optional[RetryPolicy] = None,
+        dist_workers: int = 0,
     ) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self.cell_workers = max(1, cell_workers)
+        self.dist_workers = dist_workers
         self.cache = SweepCache(self.root / "cache")
         self.metrics = metrics
         self.retry = retry
@@ -253,30 +249,24 @@ class JobStore:
     # Execution
     # ------------------------------------------------------------------
     def _executor(self) -> Optional[SweepExecutor]:
-        """A fresh per-job executor when the env asks for distribution."""
-        try:
-            n = int(os.environ.get(DIST_WORKERS_ENV, "0") or "0")
-        except ValueError:
-            n = 0
-        if n <= 0:
+        """A fresh per-job distributed executor, or None for the default."""
+        if self.dist_workers <= 0:
             return None
         from ..sim.distributed import DistributedExecutor
 
-        return DistributedExecutor(spawn_workers=n, lease_timeout_s=10.0)
+        return DistributedExecutor(spawn_workers=self.dist_workers,
+                                   lease_timeout_s=10.0)
 
     def _build_runner(self, job: Job,
                       executor: Optional[SweepExecutor]) -> ScenarioRunner:
         job_dir = self.root / "jobs" / job.job_id
         job_dir.mkdir(parents=True, exist_ok=True)
-        kwargs: Dict[str, Any] = {}
-        if self.retry is not None:
-            kwargs["retry"] = self.retry
         return ScenarioRunner(
             workers=self.cell_workers,
             cache=self.cache,
             journal=job_dir / "run.journal",
             executor=executor,
-            **kwargs,
+            retry=self.retry,
         )
 
     def _runner_loop(self) -> None:

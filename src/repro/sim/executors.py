@@ -1,8 +1,8 @@
 """Pluggable sweep executors: how scenario cells actually get run.
 
 :class:`~repro.sim.sweep.ScenarioRunner` decides *what* to run (cache
-misses, journal replay, fleet batching); a :class:`SweepExecutor`
-decides *where and how*.  The interface is deliberately small:
+misses, journal replay); a :class:`SweepExecutor` decides *where and
+how*.  The interface is deliberately small:
 
 * :meth:`SweepExecutor.attach` / :meth:`SweepExecutor.detach` bracket
   one sweep and hand the executor its :class:`ExecutionContext`
@@ -17,7 +17,8 @@ decides *where and how*.  The interface is deliberately small:
 behaviour byte-for-byte: serial in-process execution for one worker,
 ``ProcessPoolExecutor`` fan-out with killed-worker containment and
 retry/backoff above that.  The distributed TCP backend lives in
-:mod:`repro.sim.distributed`.
+:mod:`repro.sim.distributed`, the vectorised fleet backend in
+:mod:`repro.fleet.executor`.
 
 This module also owns the cell-execution primitives (single attempt,
 sidecar checkpointing, per-cell timeout, failure capture) that every
@@ -361,6 +362,13 @@ class ExecutionContext:
             reg.counter("sweep.retries").inc()
             if wait_s > 0.0:
                 reg.counter("sweep.backoff_wait_s").inc(wait_s)
+
+    def count_fallback(self, reason: str) -> None:
+        """Account one cell a batching backend did not batch, by reason."""
+        if self.stats is not None:
+            self.stats.fallback_cells += 1
+            reasons = self.stats.fallback_reasons
+            reasons[reason] = reasons.get(reason, 0) + 1
 
 
 @dataclass

@@ -77,18 +77,6 @@ class RetryPolicy:
         if not 0.0 <= self.jitter <= 1.0:
             raise ValueError("jitter must lie in [0, 1]")
 
-    @classmethod
-    def from_retries(cls, retries: int) -> "RetryPolicy":
-        """The policy equivalent to the legacy ``retries: int`` knob."""
-        if retries < 0:
-            raise ValueError("retries must be non-negative")
-        return cls(max_attempts=retries + 1)
-
-    @property
-    def retries(self) -> int:
-        """Extra attempts beyond the first (the legacy knob's view)."""
-        return self.max_attempts - 1
-
     def allows(self, attempts_made: int) -> bool:
         """Whether a unit that has already run ``attempts_made`` times
         may run again."""

@@ -8,9 +8,10 @@ that implicit pattern into an explicit engine:
 
 * :class:`SweepSpec` declares the grid and expands it into
   :class:`ScenarioCell` rows in a deterministic order;
-* :class:`ScenarioRunner` executes the cells -- serially or fanned out
-  over a ``ProcessPoolExecutor`` -- with results returned in spec
-  order, so parallel output is identical to serial output;
+* :class:`ScenarioRunner` executes the cells on a pluggable
+  :class:`~repro.sim.executors.SweepExecutor` (serial/process pool by
+  default) with results returned in spec order, so output is
+  identical for every backend and worker count;
 * an optional on-disk cache keyed by a content hash of the scenario
   configuration plus a code-version salt lets a re-run recompute only
   the cells whose inputs actually changed;
@@ -58,8 +59,8 @@ from .daily import MultiDayResult
 from .discharge import DischargeResult, SchedulingPolicy
 from .executors import (CellFailure, CellTimeoutError, ExecutionContext,
                         LocalProcessExecutor, SweepExecutor,
-                        choose_timeout_mechanism, timed_cell)
-from .retry import RetryPolicy
+                        choose_timeout_mechanism)
+from .retry import DEFAULT_RETRY, RetryPolicy
 
 __all__ = [
     "ScenarioCell",
@@ -79,9 +80,6 @@ CellResult = Union[DischargeResult, MultiDayResult]
 
 #: What a result slot can hold once failures are contained per cell.
 CellOutcome = Union[DischargeResult, MultiDayResult, CellFailure]
-
-#: Backward-compatible alias (the implementation moved to executors).
-_timed_cell = timed_cell
 
 
 # ----------------------------------------------------------------------
@@ -373,10 +371,13 @@ class SimStats:
     total_wall_s: float = 0.0
     #: Backoff wall time spent waiting between retry attempts (s).
     backoff_wait_s: float = 0.0
+    #: Cells ``FleetExecutor`` ran unbatched, and reason -> count.
+    fallback_cells: int = 0
+    fallback_reasons: Dict[str, int] = field(default_factory=dict)
     workers: int = 1
-    #: Executor backend that ran the pending cells ("local",
-    #: "distributed", ...; "none" when everything came from cache or
-    #: the journal).
+    #: Executor backend that ran the pending cells ("local", "fleet",
+    #: "distributed"; "none" when everything came from cache or the
+    #: journal).
     executor: str = "none"
     #: Per-cell timeout mechanism for in-process execution: "none"
     #: (no budget), "sigalrm" (hard POSIX alarm) or "cooperative"
@@ -528,50 +529,6 @@ def _cell_matches(cell: ScenarioCell, axes: Mapping[str, Any]) -> bool:
 # ----------------------------------------------------------------------
 # Execution
 # ----------------------------------------------------------------------
-def _fleet_cell_supported(cell: ScenarioCell) -> bool:
-    """Whether the fleet backend can batch this cell exactly."""
-    if cell.kind != "discharge" or cell.extra:
-        return False
-    from ..fleet import supports_policy
-
-    return supports_policy(cell.policy)
-
-
-def _run_fleet_batch(
-    cells: Sequence[ScenarioCell],
-) -> List[Tuple[int, CellOutcome, float, int]]:
-    """Run eligible cells as one vectorised batch.
-
-    Returns the same ``(index, outcome, seconds, steps)`` tuples as
-    :func:`_timed_cell`; the batch wall time is amortised evenly over
-    its cells so :class:`SimStats` totals stay meaningful.  Any batch
-    failure falls back to per-cell scalar execution -- batching is an
-    optimisation, never a new failure mode.
-
-    The batch honours the ``CAPMAN_FLEET_SHARDS`` env var: with a
-    count above 1 the fleet row-shards across worker processes
-    (:meth:`~repro.fleet.FleetSimulator.run_sharded`), with results
-    byte-equal to the single-process run.
-    """
-    from ..fleet import DeviceSpec, FleetSpec
-
-    started = time.perf_counter()
-    try:
-        spec = FleetSpec([
-            DeviceSpec(policy=cell.policy, trace=cell.trace,
-                       profile=cell.profile, control_dt=cell.control_dt,
-                       max_duration_s=cell.max_duration_s,
-                       ambient_c=cell.ambient_c,
-                       record_every=cell.record_every)
-            for cell in cells])
-        results = spec.build().run_sharded()
-    except Exception:
-        return [_timed_cell(cell) for cell in cells]
-    elapsed = (time.perf_counter() - started) / len(cells)
-    return [(cell.index, result, elapsed, result.step_count)
-            for cell, result in zip(cells, results)]
-
-
 class ScenarioRunner:
     """Executes a :class:`SweepSpec` with optional fan-out and caching.
 
@@ -587,20 +544,14 @@ class ScenarioRunner:
     salt:
         Cache-key salt override; defaults to :func:`code_salt` so code
         edits invalidate old entries.
-    retries:
-        Extra execution attempts for a cell whose *worker died*
-        (``BrokenProcessPool``); retried cells run in isolated
-        single-cell pools so a crash-looping cell cannot take healthy
-        cells down with it.  Exceptions raised *inside* a cell are
-        deterministic simulator failures and are reported immediately
-        without retry.  Legacy shorthand for
-        ``retry=RetryPolicy.from_retries(retries)``.
     retry:
-        A full :class:`~repro.sim.retry.RetryPolicy` (max attempts,
-        exponential backoff, deterministic seeded jitter) governing
-        infrastructure retries; overrides ``retries`` when given.
-        The default is byte-equivalent to the historic behaviour
-        (one immediate retry, no waiting).
+        The :class:`~repro.sim.retry.RetryPolicy` (max attempts,
+        exponential backoff, deterministic seeded jitter) for a cell
+        whose *worker died* (``BrokenProcessPool``); retried cells run
+        in isolated single-cell pools so a crash-looping cell cannot
+        take healthy cells down with it.  Exceptions raised *inside* a
+        cell are deterministic simulator failures and are reported
+        immediately without retry.  The default is one immediate retry.
     cell_timeout_s:
         Optional per-cell wall-clock budget; a cell over budget is
         reported as a :class:`CellFailure` (``CellTimeoutError``).
@@ -611,8 +562,9 @@ class ScenarioRunner:
         A :class:`~repro.sim.executors.SweepExecutor` backend, or
         ``None`` for the default
         :class:`~repro.sim.executors.LocalProcessExecutor` (serial /
-        process-pool, governed by ``workers``).  The distributed TCP
-        backend lives in :mod:`repro.sim.distributed`.
+        process-pool, governed by ``workers``).  The vectorised fleet
+        backend is :class:`repro.fleet.FleetExecutor`; the distributed
+        TCP backend lives in :mod:`repro.sim.distributed`.
     journal:
         Optional path of a write-ahead run journal.  :meth:`run` then
         records every cell start and every committed result durably
@@ -630,17 +582,6 @@ class ScenarioRunner:
         cells: a cell whose control loop stops beating for this long
         has its latest sidecar checkpoint flushed and is retired as a
         contained timeout failure.
-    backend:
-        ``"scalar"`` (default) runs every cell through the scalar
-        engine.  ``"fleet"`` batches eligible discharge cells (no
-        ``extra`` kwargs, fleet-supported policy) through
-        :class:`repro.fleet.FleetSimulator` -- results are bit-for-bit
-        the scalar ones, just computed as one vectorised batch.
-        Ineligible cells, journalled sweeps and observed sweeps fall
-        back to the scalar path automatically.  Setting the
-        ``CAPMAN_FLEET_SHARDS`` env var above 1 additionally
-        row-shards each fleet batch across worker processes (results
-        unchanged, byte for byte).
     """
 
     def __init__(
@@ -648,12 +589,10 @@ class ScenarioRunner:
         workers: Optional[int] = None,
         cache: Union[SweepCache, str, Path, None] = None,
         salt: Optional[str] = None,
-        retries: int = 1,
         cell_timeout_s: Optional[float] = None,
         journal: Union[str, Path, None] = None,
         checkpoint_every_steps: int = 0,
         stall_timeout_s: Optional[float] = None,
-        backend: str = "scalar",
         retry: Optional[RetryPolicy] = None,
         executor: Optional[SweepExecutor] = None,
     ) -> None:
@@ -664,11 +603,7 @@ class ScenarioRunner:
             cache = SweepCache(cache)
         self.cache = cache
         self._salt = salt
-        if retries < 0:
-            raise ValueError("retries must be non-negative")
-        self.retry = (retry if retry is not None
-                      else RetryPolicy.from_retries(retries))
-        self.retries = self.retry.retries
+        self.retry = retry if retry is not None else DEFAULT_RETRY
         self.cell_timeout_s = cell_timeout_s
         self.executor = executor
         self.journal = Path(journal) if journal is not None else None
@@ -676,9 +611,6 @@ class ScenarioRunner:
             raise ValueError("checkpoint_every_steps must be non-negative")
         self.checkpoint_every_steps = checkpoint_every_steps
         self.stall_timeout_s = stall_timeout_s
-        if backend not in ("scalar", "fleet"):
-            raise ValueError(f"unknown backend {backend!r}")
-        self.backend = backend
         #: Guards the per-cell state map behind :meth:`progress`.
         self._progress_lock = threading.Lock()
         self._cell_states: Dict[int, str] = {}
@@ -904,55 +836,35 @@ class ScenarioRunner:
                     except OSError:
                         pass
 
-            # Peel off cells the vectorised fleet backend can batch.
-            # Journalled and observed sweeps keep the scalar path: the
-            # journal commits per cell as it lands, and telemetry is
-            # harvested per cycle scope -- neither exists batch-wise.
-            fleet_batch: List[ScenarioCell] = []
-            if (pending and self.backend == "fleet" and journal is None
-                    and not observing):
-                fleet_batch = [cell for cell in pending
-                               if _fleet_cell_supported(cell)]
-                if fleet_batch:
-                    taken = {cell.index for cell in fleet_batch}
-                    pending = [cell for cell in pending
-                               if cell.index not in taken]
-
-            if pending or fleet_batch:
-                computed: List[Tuple[int, CellOutcome, float, int]] = []
-                if fleet_batch:
-                    computed.extend(_run_fleet_batch(fleet_batch))
-                if pending:
-                    executor = self.executor or LocalProcessExecutor(
-                        self.workers)
-                    ctx = ExecutionContext(
-                        cell_timeout_s=self.cell_timeout_s,
-                        ckpts=ckpts,
-                        checkpoint_every_steps=self.checkpoint_every_steps,
-                        stall_timeout_s=self.stall_timeout_s,
-                        retry=self.retry,
-                        workers=self.workers,
-                        obs_enabled=observing,
-                        on_final=_finalise,
-                        stats=stats,
-                        journal_append=(journal.append
-                                        if journal is not None else None),
-                        replayed_grants=dict(replayed_grants or {}),
-                        on_start=lambda index: self._set_state(
-                            index, "running"),
-                    )
-                    executor.attach(ctx)
-                    try:
-                        computed.extend(executor.run(pending))
-                    finally:
-                        executor.detach()
-                    stats.executor = executor.name
-                    if observing:
-                        # Serially computed cells already merged their
-                        # cycle scopes into the sweep scope in-process;
-                        # remote cells ship their blobs on the result,
-                        # and the executor tells them apart.
-                        remote_blobs.extend(executor.remote_blobs())
+            if pending:
+                executor = self.executor or LocalProcessExecutor(self.workers)
+                ctx = ExecutionContext(
+                    cell_timeout_s=self.cell_timeout_s,
+                    ckpts=ckpts,
+                    checkpoint_every_steps=self.checkpoint_every_steps,
+                    stall_timeout_s=self.stall_timeout_s,
+                    retry=self.retry,
+                    workers=self.workers,
+                    obs_enabled=observing,
+                    on_final=_finalise,
+                    stats=stats,
+                    journal_append=(journal.append
+                                    if journal is not None else None),
+                    replayed_grants=dict(replayed_grants or {}),
+                    on_start=lambda index: self._set_state(index, "running"),
+                )
+                executor.attach(ctx)
+                try:
+                    computed = executor.run(pending)
+                finally:
+                    executor.detach()
+                stats.executor = executor.name
+                if observing:
+                    # Serially computed cells already merged their cycle
+                    # scopes into the sweep scope in-process; remote
+                    # cells ship their blobs on the result, and the
+                    # executor tells them apart.
+                    remote_blobs.extend(executor.remote_blobs())
                 for index, result, elapsed, steps in computed:
                     results[index] = result
                     stats.compute_wall_s += elapsed
@@ -960,11 +872,6 @@ class ScenarioRunner:
                     stats.cells_computed += 1
                     if isinstance(result, CellFailure):
                         stats.cells_failed += 1
-                    # Fleet-batched cells bypass ctx.finalise; settle
-                    # their progress state here (idempotent elsewhere).
-                    self._set_state(index, "failed"
-                                    if isinstance(result, CellFailure)
-                                    else "done")
                 if self.cache is not None:
                     cache_started = time.perf_counter()
                     for index, result, _, _ in computed:

@@ -23,8 +23,7 @@ from repro import obs
 from repro.capman.baselines import DualPolicy
 from repro.capman.controller import CapmanPolicy
 from repro.device.profiles import HONOR, NEXUS
-from repro.fleet import DeviceSpec, FleetSpec
-from repro.fleet.simulator import SHARDS_ENV
+from repro.fleet import DeviceSpec, FleetExecutor, FleetSpec
 from repro.sim.discharge import run_discharge_cycle
 from repro.sim.sweep import ScenarioRunner, SweepSpec
 from repro.workload.generators import VideoWorkload
@@ -220,22 +219,13 @@ def test_run_sharded_counters_come_from_shards_only():
     assert sim.table_compiles == 2 * solo_sim.table_compiles
 
 
-def test_run_sharded_honours_env_var(monkeypatch):
-    monkeypatch.setenv(SHARDS_ENV, "2")
-    plain = FleetSpec(_hetero_devices()).build().run()
-    sharded = FleetSpec(_hetero_devices()).build().run_sharded()
-    for mine, theirs in zip(sharded, plain):
-        assert _frozen(mine) == _frozen(theirs)
-
-
-def test_run_sharded_one_shard_is_in_process(monkeypatch):
-    monkeypatch.setenv(SHARDS_ENV, "1")
+def test_run_sharded_one_shard_is_in_process():
     sim = FleetSpec(_hetero_devices()).build()
-    assert [_frozen(r) for r in sim.run_sharded()] == \
+    assert [_frozen(r) for r in sim.run_sharded(shards=1)] == \
         [_frozen(r) for r in FleetSpec(_hetero_devices()).build().run()]
 
 
-def test_sweep_fleet_backend_honours_shards_env(monkeypatch):
+def test_sweep_fleet_executor_shards_across_workers():
     spec = SweepSpec(
         policies={"capman": CapmanPolicy(capacity_mah=CAPACITY_MAH),
                   "dual": DualPolicy(capacity_mah=CAPACITY_MAH)},
@@ -245,8 +235,8 @@ def test_sweep_fleet_backend_honours_shards_env(monkeypatch):
         max_duration_s=MAX_DURATION_S,
     )
     scalar = ScenarioRunner(workers=1).run(spec)
-    monkeypatch.setenv(SHARDS_ENV, "2")
-    fleet = ScenarioRunner(workers=1, backend="fleet").run(spec)
+    fleet = ScenarioRunner(workers=2, executor=FleetExecutor()).run(spec)
+    assert fleet.stats.fallback_cells == 0
     assert len(fleet.results) == len(scalar.results) == 4
     for mine, theirs in zip(fleet.results, scalar.results):
         assert _frozen(mine) == _frozen(theirs)

@@ -5,22 +5,27 @@ reproduce :func:`repro.sim.discharge.run_discharge_cycle` exactly --
 ``pickle.dumps`` equality on the whole :class:`DischargeResult`
 (wall-clock and telemetry masked, everything else compared byte for
 byte, including every metrics sample).  The same holds for every row
-of a heterogeneous batch, and for sweeps routed through
-``backend="fleet"``.
+of a heterogeneous batch, and for sweeps run on
+``executor=FleetExecutor()`` -- journalled, resumed, or with cells the
+batch hands to its counted scalar fallback.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import pickle
+import warnings
 
 import pytest
 
+from repro import obs
 from repro.capman.baselines import DualPolicy, HeuristicPolicy, PracticePolicy
 from repro.capman.controller import CapmanPolicy
 from repro.device.profiles import HONOR, NEXUS
-from repro.fleet import (DeviceSpec, FleetSpec, UnsupportedDeviceError,
-                         supports_policy)
+from repro.durability.journal import RunJournal, decode_blob
+from repro.fleet import (DeviceSpec, FleetExecutor, FleetSpec,
+                         UnsupportedDeviceError, supports_policy)
+from repro.sim.chaos import journal_commit_counts
 from repro.sim.discharge import run_discharge_cycle
 from repro.sim.sweep import ScenarioRunner, SweepSpec
 from repro.workload.generators import VideoWorkload
@@ -169,13 +174,13 @@ def test_build_does_not_mutate_caller_policies():
 # ----------------------------------------------------------------------
 # Sweep routing
 # ----------------------------------------------------------------------
-def _sweep_spec() -> SweepSpec:
-    return SweepSpec(
+def _sweep_spec(**overrides) -> SweepSpec:
+    fields = dict(
         policies={
             "capman": CapmanPolicy(capacity_mah=CAPACITY_MAH),
             "dual": DualPolicy(capacity_mah=CAPACITY_MAH),
-            # Single-battery pack: fleet-unsupported, must silently take
-            # the scalar path inside the same sweep.
+            # Single-battery pack: fleet-unsupported, must take the
+            # counted scalar fallback inside the same sweep.
             "practice": PracticePolicy(capacity_mah=2 * CAPACITY_MAH),
         },
         traces={"video": _TRACE},
@@ -183,19 +188,126 @@ def _sweep_spec() -> SweepSpec:
         control_dts=(CONTROL_DT,),
         max_duration_s=MAX_DURATION_S,
     )
+    fields.update(overrides)
+    return SweepSpec(**fields)
 
 
-def test_sweep_fleet_backend_matches_scalar_backend():
-    scalar = ScenarioRunner(workers=1).run(_sweep_spec())
-    fleet = ScenarioRunner(workers=1, backend="fleet").run(_sweep_spec())
+#: The reason ``fleet/spec.py`` gives for the practice policy's pack.
+PRACTICE_REASON = "pack type SingleBatteryPack is not BigLittlePack"
 
-    assert len(fleet.results) == len(scalar.results) == 6
-    for mine, theirs in zip(fleet.results, scalar.results):
+
+@pytest.fixture(scope="module")
+def scalar_sweep():
+    return ScenarioRunner(workers=1).run(_sweep_spec())
+
+
+def _raw(result) -> list:
+    return [pickle.dumps(r, protocol=4) for r in result.results]
+
+
+def _commit_blobs(journal) -> dict:
+    return {record["data"]["index"]: decode_blob(record["data"]["result"])
+            for record in RunJournal.replay(journal, recover=False)
+            if record["type"] == "cell_commit"}
+
+
+def test_sweep_fleet_backend_matches_scalar_backend(scalar_sweep):
+    # workers=2 row-shards the batch and pools the fallback cells.
+    for workers in (1, 2):
+        fleet = ScenarioRunner(workers=workers,
+                               executor=FleetExecutor()).run(_sweep_spec())
+
+        assert len(fleet.results) == len(scalar_sweep.results) == 6
+        for mine, theirs in zip(fleet.results, scalar_sweep.results):
+            assert _frozen(mine) == _frozen(theirs)
+        assert _raw(fleet) == _raw(scalar_sweep)
+        assert fleet.stats.cells_computed == scalar_sweep.stats.cells_computed
+        assert fleet.stats.steps_total == scalar_sweep.stats.steps_total
+        assert fleet.stats.executor == "fleet"
+        assert fleet.stats.fallback_cells == 2
+        assert fleet.stats.fallback_reasons == {PRACTICE_REASON: 2}
+
+
+def test_journalled_fleet_sweep_commits_each_row_once(tmp_path):
+    fleet_journal = tmp_path / "fleet.journal"
+    scalar_journal = tmp_path / "scalar.journal"
+    runner = ScenarioRunner(workers=1, journal=fleet_journal,
+                            executor=FleetExecutor())
+    fleet = runner.run(_sweep_spec())
+    ScenarioRunner(workers=1, journal=scalar_journal).run(_sweep_spec())
+
+    assert fleet.stats.fallback_cells == 2  # only the practice cells
+    assert journal_commit_counts(fleet_journal) == {i: 1 for i in range(6)}
+    assert _commit_blobs(fleet_journal) == _commit_blobs(scalar_journal)
+    assert set(runner.progress().cells.values()) == {"done"}
+
+
+def test_fleet_resume_replays_committed_rows(tmp_path, scalar_sweep):
+    journal = tmp_path / "fleet.journal"
+    ScenarioRunner(workers=1, journal=journal,
+                   executor=FleetExecutor()).run(_sweep_spec())
+    # Keep the header, the cell starts and the first k commits: a crash
+    # after k rows reached the journal.
+    k, kept, commits = 2, [], 0
+    for line in journal.read_bytes().splitlines(keepends=True):
+        kept.append(line)
+        if b'"type":"cell_commit"' in line:
+            commits += 1
+            if commits == k:
+                break
+    journal.write_bytes(b"".join(kept))
+
+    resumed = ScenarioRunner(workers=1, journal=journal,
+                             executor=FleetExecutor()).resume()
+    assert resumed.stats.cells_resumed == k
+    assert resumed.stats.cells_computed == 6 - k
+    # The two practice cells fall back; every other pending row ran
+    # through the fleet.
+    assert resumed.stats.executor == "fleet"
+    assert resumed.stats.fallback_reasons == {PRACTICE_REASON: 2}
+    assert _raw(resumed) == _raw(scalar_sweep)
+    assert journal_commit_counts(journal) == {i: 1 for i in range(6)}
+
+
+@pytest.mark.parametrize("case", ["ineligible", "obs", "timeout", "error"])
+def test_fleet_fallbacks_are_counted_with_reasons(case, monkeypatch,
+                                                   scalar_sweep):
+    spec = _sweep_spec()
+    runner_kwargs = {}
+    if case == "ineligible":
+        # The harness default, passed explicitly: same physics, but
+        # cells with extra run arguments are never batched.
+        spec = _sweep_spec(extra={"brownout_limit": 3})
+        expected = {"extra run arguments": 6}
+    elif case == "obs":
+        obs.configure(enabled=True)
+        expected = {"obs": 6}
+    elif case == "timeout":
+        runner_kwargs["cell_timeout_s"] = 600.0
+        expected = {"timeout": 6}
+    else:
+        def broken_build(self):
+            raise RuntimeError("fleet build failed")
+
+        monkeypatch.setattr(FleetSpec, "build", broken_build)
+        expected = {"error:RuntimeError": 4, PRACTICE_REASON: 2}
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            fleet = ScenarioRunner(workers=1, executor=FleetExecutor(),
+                                   **runner_kwargs).run(spec)
+    finally:
+        if case == "obs":
+            obs.disable()
+
+    assert fleet.stats.fallback_reasons == expected
+    batch_warnings = [w for w in caught if "fleet batch" in str(w.message)]
+    assert len(batch_warnings) == (case == "error")
+    assert fleet.stats.fallback_cells == 6
+    assert fleet.stats.cells_failed == 0
+    if case == "obs":
+        assert fleet.telemetry.counter("sweep.fallback_cells") == 6
+    for mine, theirs in zip(fleet.results, scalar_sweep.results):
         assert _frozen(mine) == _frozen(theirs)
-    assert fleet.stats.cells_computed == scalar.stats.cells_computed
-    assert fleet.stats.steps_total == scalar.stats.steps_total
-
-
-def test_sweep_rejects_unknown_backend():
-    with pytest.raises(ValueError, match="backend"):
-        ScenarioRunner(backend="gpu")
+    if case != "obs":
+        assert _raw(fleet) == _raw(scalar_sweep)

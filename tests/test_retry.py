@@ -20,19 +20,12 @@ class TestPolicy:
             RetryPolicy(backoff_factor=0.5)
         with pytest.raises(ValueError):
             RetryPolicy(jitter=1.5)
-        with pytest.raises(ValueError):
-            RetryPolicy.from_retries(-1)
 
     def test_allows_caps_total_attempts(self):
         policy = RetryPolicy(max_attempts=3)
         assert policy.allows(0)
         assert policy.allows(2)
         assert not policy.allows(3)
-
-    def test_legacy_retries_round_trip(self):
-        policy = RetryPolicy.from_retries(4)
-        assert policy.max_attempts == 5
-        assert policy.retries == 4
 
     def test_default_is_historic_behaviour(self):
         # One immediate retry, zero wait: exactly the old retries=1.
@@ -219,15 +212,12 @@ class TestExhaustionPaths:
 
 class TestRunnerWiring:
     def test_runner_default_matches_legacy_retries(self):
-        runner = ScenarioRunner(retries=3)
-        assert runner.retry == RetryPolicy.from_retries(3)
-        assert runner.retries == 3
+        # No retry= means the historic one immediate retry.
+        assert ScenarioRunner().retry == DEFAULT_RETRY
 
     def test_explicit_policy_wins(self):
         policy = RetryPolicy(max_attempts=7, backoff_base_s=0.5)
-        runner = ScenarioRunner(retries=1, retry=policy)
-        assert runner.retry is policy
-        assert runner.retries == 6
+        assert ScenarioRunner(retry=policy).retry is policy
 
     def test_count_retry_updates_stats_and_obs(self):
         stats = SimStats()

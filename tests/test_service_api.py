@@ -27,7 +27,6 @@ SECRET = "sweep-service-test-secret"
 @pytest.fixture()
 def service(tmp_path, monkeypatch):
     monkeypatch.setenv("CAPMAN_DIST_SECRET", SECRET)
-    monkeypatch.delenv("CAPMAN_DIST_WORKERS", raising=False)
     svc = CapmanService(tmp_path / "state", cell_workers=1,
                         job_runners=1, max_body_bytes=64 << 10).start()
     yield svc

@@ -14,6 +14,7 @@ from repro.sim.daily import MultiDayResult
 from repro.sim.sweep import (
     CellFailure,
     CellTimeoutError,
+    RetryPolicy,
     ScenarioRunner,
     SweepCache,
     SweepSpec,
@@ -250,7 +251,8 @@ class TestFailureContainment:
 
     def test_killed_worker_contained_and_healthy_cells_survive(self, trace):
         spec = self._mixed_spec(trace, WorkerKillerPolicy(capacity_mah=40.0))
-        out = ScenarioRunner(workers=2, retries=1).run(spec)
+        out = ScenarioRunner(workers=2,
+                             retry=RetryPolicy(max_attempts=2)).run(spec)
         assert out.stats.cells_failed == 1
         [(cell, failure)] = out.failures
         assert cell.policy_key == "Bad"
@@ -284,10 +286,6 @@ class TestFailureContainment:
         assert second.stats.cache_hits == 2
         assert second.stats.cache_misses == 1
         assert second.stats.cells_failed == 1
-
-    def test_negative_retries_rejected(self):
-        with pytest.raises(ValueError):
-            ScenarioRunner(retries=-1)
 
     def test_failure_str_and_outcome_split(self, trace):
         spec = self._mixed_spec(trace, RaisingPolicy(capacity_mah=40.0))
