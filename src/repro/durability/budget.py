@@ -1,4 +1,4 @@
-"""Run budgets and the heartbeat stall watchdog.
+"""Run budgets.
 
 A :class:`RunBudget` gives a run explicit wall-clock and control-step
 ceilings.  The harness polls it at the top of each step — a point
@@ -6,28 +6,17 @@ where the simulation state is consistent — so blowing the budget
 triggers a *clean checkpoint-then-exit* (:class:`BudgetExceededError`
 carrying the final checkpoint) instead of a timeout kill that discards
 the work.
-
-The :class:`HeartbeatWatchdog` covers the complementary failure: a
-cell that stops making progress entirely (deadlocked dependency,
-pathological substep count).  The loop beats a :class:`Heartbeat`
-every step; a daemon thread watches the beat age, and on a stall it
-flushes the cell's last checkpoint to disk and force-expires the
-cell's cooperative deadline so the cell retires as a contained timeout
-failure the moment it runs again — with its checkpoint already safe.
 """
 
 from __future__ import annotations
 
-import threading
 import time
-from typing import TYPE_CHECKING, Callable, Optional
-
-from .deadline import expire_deadline
+from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:
     from .snapshot import SimCheckpoint
 
-__all__ = ["BudgetExceededError", "RunBudget", "Heartbeat", "HeartbeatWatchdog"]
+__all__ = ["BudgetExceededError", "RunBudget"]
 
 
 class BudgetExceededError(RuntimeError):
@@ -82,99 +71,3 @@ class RunBudget:
                 return (f"wall-clock budget of {self.max_wall_s} s reached "
                         f"({elapsed:.1f} s elapsed)")
         return None
-
-
-class Heartbeat:
-    """A progress beacon the run loop touches every step."""
-
-    def __init__(self) -> None:
-        self._last = time.monotonic()
-        self._lock = threading.Lock()
-
-    def beat(self) -> None:
-        """Record progress (called from the run loop)."""
-        with self._lock:
-            self._last = time.monotonic()
-
-    @property
-    def age_s(self) -> float:
-        """Seconds since the last beat."""
-        with self._lock:
-            return time.monotonic() - self._last
-
-
-class HeartbeatWatchdog:
-    """Daemon thread that fires ``on_stall`` when the heartbeat goes quiet.
-
-    Parameters
-    ----------
-    heartbeat:
-        The :class:`Heartbeat` the supervised loop beats.
-    stall_timeout_s:
-        Beat age that counts as a stall.
-    on_stall:
-        Callback invoked (once per stall episode) from the watchdog
-        thread.  The stock wiring flushes the run's latest checkpoint
-        and force-expires the run thread's cooperative deadline.
-    poll_s:
-        Check cadence; defaults to a quarter of the stall timeout.
-    """
-
-    def __init__(self, heartbeat: Heartbeat, stall_timeout_s: float,
-                 on_stall: Callable[[], None],
-                 poll_s: Optional[float] = None) -> None:
-        if stall_timeout_s <= 0:
-            raise ValueError("stall_timeout_s must be positive")
-        self.heartbeat = heartbeat
-        self.stall_timeout_s = stall_timeout_s
-        self.on_stall = on_stall
-        self.poll_s = poll_s if poll_s is not None else max(0.05, stall_timeout_s / 4.0)
-        self._stop = threading.Event()
-        self._thread: Optional[threading.Thread] = None
-        #: Stall episodes observed.
-        self.stalls = 0
-
-    def start(self) -> "HeartbeatWatchdog":
-        self._thread = threading.Thread(target=self._watch, daemon=True,
-                                        name="capman-watchdog")
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout=self.poll_s * 4 + 1.0)
-            self._thread = None
-
-    def __enter__(self) -> "HeartbeatWatchdog":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
-
-    def _watch(self) -> None:
-        fired = False
-        while not self._stop.wait(self.poll_s):
-            if self.heartbeat.age_s >= self.stall_timeout_s:
-                if not fired:
-                    fired = True
-                    self.stalls += 1
-                    try:
-                        self.on_stall()
-                    except Exception:
-                        pass  # a watchdog must never take the run down
-            else:
-                fired = False
-
-
-def retire_on_stall(checkpointer, thread_ident: int,
-                    label: str = "run") -> Callable[[], None]:
-    """The stock ``on_stall`` wiring: flush checkpoint, expire deadline."""
-    def _on_stall() -> None:
-        if checkpointer is not None:
-            checkpointer.flush()
-        expire_deadline(
-            thread_ident,
-            f"{label} stalled (no heartbeat); retired by watchdog after "
-            f"checkpointing")
-    return _on_stall

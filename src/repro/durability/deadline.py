@@ -9,9 +9,6 @@ that the simulation hot loops poll once per control step via
 a cell stuck inside a single C call will not be interrupted — but for
 the simulator's own loops (which step many times per second) it turns
 "no timeout at all" into an honest, clean, checkpoint-friendly exit.
-
-A watchdog may also *force* another thread's deadline to expire with
-:func:`expire_deadline`, which is how stalled cells are retired.
 """
 
 from __future__ import annotations
@@ -26,7 +23,6 @@ __all__ = [
     "set_deadline",
     "clear_deadline",
     "poll_deadline",
-    "expire_deadline",
     "thread_deadline",
 ]
 
@@ -60,15 +56,6 @@ def clear_deadline(thread_ident: Optional[int] = None) -> None:
     ident = thread_ident if thread_ident is not None else threading.get_ident()
     with _LOCK:
         _DEADLINES.pop(ident, None)
-
-
-def expire_deadline(thread_ident: int, message: str = "") -> None:
-    """Force a thread's deadline to 'already passed' (watchdog path)."""
-    with _LOCK:
-        current = _DEADLINES.get(thread_ident)
-        msg = message or (current[1] if current else "deadline force-expired")
-        exc_type = current[2] if current else DeadlineExceededError
-        _DEADLINES[thread_ident] = (float("-inf"), msg, exc_type)
 
 
 def poll_deadline() -> None:

@@ -16,6 +16,7 @@ single-writer atomic-rename semantics, exactly the pre-lock contract.
 from __future__ import annotations
 
 import os
+import threading
 import warnings
 from pathlib import Path
 from typing import Optional, Union
@@ -31,15 +32,20 @@ _WARNED = False
 
 
 class FileLock:
-    """An exclusive advisory lock on a path (re-entrant per instance)."""
+    """An exclusive advisory lock on a path (re-entrant per thread)."""
 
     def __init__(self, path: Union[str, Path]) -> None:
         self.path = Path(path)
         self._fd: Optional[int] = None
         self._depth = 0
+        # flock is per open file, not per thread: threads sharing this
+        # instance serialise here, held from acquire to the matching
+        # release (re-entrant for the holding thread).
+        self._mutex = threading.RLock()
 
     def acquire(self) -> None:
         """Block until the lock is held."""
+        self._mutex.acquire()
         if self._depth > 0:
             self._depth += 1
             return
@@ -53,12 +59,15 @@ class FileLock:
                     RuntimeWarning, stacklevel=3)
             self._depth = 1
             return
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        fd = os.open(str(self.path), os.O_RDWR | os.O_CREAT, 0o644)
+        fd: Optional[int] = None
         try:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            fd = os.open(str(self.path), os.O_RDWR | os.O_CREAT, 0o644)
             fcntl.flock(fd, fcntl.LOCK_EX)
         except BaseException:
-            os.close(fd)
+            if fd is not None:
+                os.close(fd)
+            self._mutex.release()
             raise
         self._fd = fd
         self._depth = 1
@@ -67,15 +76,16 @@ class FileLock:
         """Drop the lock (kernel drops it anyway if the process dies)."""
         if self._depth == 0:
             return
-        self._depth -= 1
-        if self._depth > 0:
-            return
-        if self._fd is not None:
-            try:
-                fcntl.flock(self._fd, fcntl.LOCK_UN)  # type: ignore[union-attr]
-            finally:
-                os.close(self._fd)
-                self._fd = None
+        try:
+            self._depth -= 1
+            if self._depth == 0 and self._fd is not None:
+                try:
+                    fcntl.flock(self._fd, fcntl.LOCK_UN)  # type: ignore[union-attr]
+                finally:
+                    os.close(self._fd)
+                    self._fd = None
+        finally:
+            self._mutex.release()
 
     @property
     def held(self) -> bool:

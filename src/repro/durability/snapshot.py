@@ -191,10 +191,10 @@ class Checkpointer:
     path:
         Where checkpoints are written (atomically overwritten each
         time).  ``None`` keeps them only in :attr:`latest` (useful for
-        tests and for the stall watchdog's flush-on-demand).
+        tests).
     every_steps:
         Save cadence in control steps; 0 disables the periodic trigger
-        (budget exits and the watchdog can still force a save).
+        (budget exits can still force a save).
     sink:
         Optional extra callable invoked with every saved checkpoint.
     """
@@ -219,8 +219,8 @@ class Checkpointer:
 
     def save(self, checkpoint: SimCheckpoint) -> None:
         """Record (and, when configured, persist) a checkpoint."""
-        # Registry-only instrumentation: this can run on the watchdog
-        # thread, and the tracer's span stack is main-thread-only.
+        # Registry-only instrumentation: this can run on a service job
+        # runner thread, and the tracer's span stack is main-thread-only.
         ob = obs.session()
         started = time.monotonic() if ob is not None else 0.0
         self.latest = checkpoint
@@ -234,8 +234,3 @@ class Checkpointer:
             reg.counter("durability.checkpoint_saves").inc()
             reg.histogram("durability.checkpoint_save_s").observe(
                 time.monotonic() - started)
-
-    def flush(self) -> None:
-        """Persist :attr:`latest` now (watchdog / stall path)."""
-        if self.latest is not None and self.path is not None:
-            self.latest.save(self.path)

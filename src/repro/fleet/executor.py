@@ -12,8 +12,8 @@ Every cell it does not batch runs on an inner
 :class:`~repro.sim.executors.LocalProcessExecutor` and is counted, with
 its reason, in ``SimStats.fallback_cells`` / ``fallback_reasons``: an
 ineligible policy, kind or extra run arguments; obs on (telemetry is
-harvested per cycle scope, which a batch lacks); a per-cell or stall
-timeout (a batch has no per-row budget); or a batch that raised
+harvested per cycle scope, which a batch lacks); a per-cell timeout
+(a batch has no per-row budget); or a batch that raised
 (``error:<ExcType>``).
 """
 
@@ -70,7 +70,6 @@ class FleetExecutor(SweepExecutor):
             else:
                 for item in computed:
                     items[item[0]] = item
-                    self._done += 1
                     ctx.finalise(item[0], item[1])
         fallback = [cell for cell in cells if cell.index not in items]
         for cell in fallback:
@@ -83,7 +82,7 @@ class FleetExecutor(SweepExecutor):
         ctx = self.ctx
         if ctx.obs_enabled:
             return "obs"
-        if (ctx.cell_timeout_s or 0) > 0 or ctx.stall_timeout_s is not None:
+        if (ctx.cell_timeout_s or 0) > 0:
             return "timeout"
         if cell.kind != "discharge":
             return f"kind={cell.kind}"

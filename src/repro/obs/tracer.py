@@ -108,7 +108,7 @@ class Tracer:
     """Span stack + bounded finished-span store.
 
     Single-threaded by design (the simulator's control loops are);
-    background threads such as the stall watchdog must not trace.
+    background threads such as service job runners must not trace.
     """
 
     def __init__(self, max_spans: int = 50_000,

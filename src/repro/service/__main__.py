@@ -6,15 +6,11 @@ tests -- can scrape the ephemeral port and then SIGKILL the process
 whenever they please: all durability lives in the WAL under
 ``--root``, and a restart with the same root resumes every unfinished
 job without recomputing a committed cell.
-
-``CAPMAN_DIST_WORKERS=N`` (N > 0, read here once) runs each job on the
-distributed TCP backend with N spawned local workers.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .app import DEFAULT_MAX_BODY, CapmanService
@@ -31,19 +27,17 @@ def main(argv=None) -> int:
     parser.add_argument("--port", type=int, default=0,
                         help="bind port (0 = ephemeral)")
     parser.add_argument("--cell-workers", type=int, default=1,
-                        help="worker processes per sweep "
-                             "(CAPMAN_DIST_WORKERS overrides the backend)")
+                        help="worker processes per sweep")
     parser.add_argument("--job-runners", type=int, default=2,
                         help="concurrent jobs")
     parser.add_argument("--max-body-bytes", type=int,
                         default=DEFAULT_MAX_BODY)
     args = parser.parse_args(argv)
-    dist_workers = int(os.environ.get("CAPMAN_DIST_WORKERS") or 0)
 
     service = CapmanService(
         root=args.root, host=args.host, port=args.port,
         cell_workers=args.cell_workers, job_runners=args.job_runners,
-        max_body_bytes=args.max_body_bytes, dist_workers=dist_workers)
+        max_body_bytes=args.max_body_bytes)
     host, port = service.address
     print(f"listening on http://{host}:{port}", flush=True)
     try:

@@ -51,6 +51,8 @@ __all__ = ["CapmanService", "ServiceMetrics", "DEFAULT_MAX_BODY"]
 
 #: Request bodies above this are rejected with 413 before parsing.
 DEFAULT_MAX_BODY = 8 << 20
+#: Interval between status lines on ``/jobs/{id}/events``.
+EVENTS_POLL_S = 0.05
 
 _JOB_PATH = re.compile(r"^/jobs/([0-9a-f]{32})(?:/(results|events))?$")
 
@@ -248,7 +250,7 @@ class _Handler(BaseHTTPRequestHandler):
             self.wfile.flush()
             if snapshot["state"] in (DONE, FAILED):
                 return 200
-            time.sleep(self.service.events_poll_s)
+            time.sleep(EVENTS_POLL_S)
 
     def _metrics_body(self) -> Dict[str, Any]:
         body = self.service.metrics.snapshot()
@@ -281,19 +283,15 @@ class CapmanService:
         cell_workers: int = 1,
         job_runners: int = 2,
         max_body_bytes: int = DEFAULT_MAX_BODY,
-        events_poll_s: float = 0.05,
         retry: Optional[RetryPolicy] = None,
-        dist_workers: int = 0,
     ) -> None:
         self.root = Path(root)
         self.metrics = ServiceMetrics()
         self.secret = protocol_secret()
         self.max_body_bytes = max_body_bytes
-        self.events_poll_s = events_poll_s
         self.store = JobStore(self.root, cell_workers=cell_workers,
                               job_runners=job_runners,
-                              metrics=self.metrics, retry=retry,
-                              dist_workers=dist_workers)
+                              metrics=self.metrics, retry=retry)
         self.httpd = ThreadingHTTPServer((host, port), _Handler)
         self.httpd.daemon_threads = True
         self.httpd.service = self  # type: ignore[attr-defined]

@@ -19,9 +19,9 @@ spec" and "a sweep result exists":
   recomputing a single committed cell.
 
 * **Execution.**  Runner threads drain a FIFO queue and drive
-  :meth:`~repro.sim.sweep.ScenarioRunner.run_or_resume` -- the
-  :class:`~repro.sim.executors.LocalProcessExecutor` by default, or
-  the distributed TCP backend with ``dist_workers > 0`` spawned workers.
+  :meth:`~repro.sim.sweep.ScenarioRunner.run_or_resume` on the
+  :class:`~repro.sim.executors.LocalProcessExecutor` with
+  ``cell_workers`` processes.
 
 The store never touches the process-global observability session:
 request/queue metrics go to the service-owned registry handed in by
@@ -41,7 +41,6 @@ from typing import Any, Dict, List, Optional, Union
 
 from ..durability.journal import RunJournal, decode_blob, encode_blob
 from ..obs.tracer import Tracer
-from ..sim.executors import SweepExecutor
 from ..sim.retry import RetryPolicy
 from ..sim.sweep import (ScenarioRunner, SweepCache, SweepResult, SweepSpec,
                          cell_key, code_salt)
@@ -98,12 +97,10 @@ class JobStore:
         job_runners: int = 2,
         metrics: Any = None,
         retry: Optional[RetryPolicy] = None,
-        dist_workers: int = 0,
     ) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self.cell_workers = max(1, cell_workers)
-        self.dist_workers = dist_workers
         self.cache = SweepCache(self.root / "cache")
         self.metrics = metrics
         self.retry = retry
@@ -237,7 +234,7 @@ class JobStore:
         committed -- nothing recomputes)."""
         if job.result is not None:
             return job.result
-        runner = self._build_runner(job, executor=None)
+        runner = self._build_runner(job)
         result = runner.resume()
         with self._lock:
             if job.result is None:
@@ -248,24 +245,13 @@ class JobStore:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def _executor(self) -> Optional[SweepExecutor]:
-        """A fresh per-job distributed executor, or None for the default."""
-        if self.dist_workers <= 0:
-            return None
-        from ..sim.distributed import DistributedExecutor
-
-        return DistributedExecutor(spawn_workers=self.dist_workers,
-                                   lease_timeout_s=10.0)
-
-    def _build_runner(self, job: Job,
-                      executor: Optional[SweepExecutor]) -> ScenarioRunner:
+    def _build_runner(self, job: Job) -> ScenarioRunner:
         job_dir = self.root / "jobs" / job.job_id
         job_dir.mkdir(parents=True, exist_ok=True)
         return ScenarioRunner(
             workers=self.cell_workers,
             cache=self.cache,
             journal=job_dir / "run.journal",
-            executor=executor,
             retry=self.retry,
         )
 
@@ -285,7 +271,7 @@ class JobStore:
         self._observe("job.queue_wait_s", queue_wait)
         self._merge_spans({"job.queue_wait": {
             "count": 1, "total_s": queue_wait, "max_s": queue_wait}})
-        runner = self._build_runner(job, executor=self._executor())
+        runner = self._build_runner(job)
         with self._lock:
             job.runner = runner
             job.state = RUNNING

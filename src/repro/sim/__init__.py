@@ -23,7 +23,7 @@ from .sweep import (
     SweepResult,
     SweepSpec,
 )
-from .executors import ExecutorHeartbeat, LocalProcessExecutor, SweepExecutor
+from .executors import LocalProcessExecutor, SweepExecutor
 from .distributed import DistributedExecutor, SweepCoordinator, SweepWorker
 from .cache_server import CacheServer, NetworkSweepCache
 
@@ -62,7 +62,6 @@ __all__ = [
     "SweepResult",
     "SweepSpec",
     "SweepExecutor",
-    "ExecutorHeartbeat",
     "LocalProcessExecutor",
     "DistributedExecutor",
     "SweepCoordinator",

@@ -423,10 +423,11 @@ class _BackendChaosMonkey(threading.Thread):
 
     def _kill_one_worker(self) -> bool:
         pids = self.executor.worker_pids()
-        if not pids:
+        coordinator = self.executor.coordinator
+        if not pids or coordinator is None:
             return False
-        beat = self.executor.heartbeat()
-        if beat.workers == 0 or beat.in_flight == 0:
+        snap = coordinator.snapshot()
+        if snap["workers"] == 0 or snap["leases"] == 0:
             # Nobody has attached / nothing is leased yet: killing now
             # would miss the interesting window.  Wait for work to be
             # genuinely in flight so the SIGKILL lands mid-cell.

@@ -51,9 +51,18 @@ request                response
 ``detach``            ``{ok}``
 ``request``           ``grant`` (lease + cell blob) / ``idle`` / ``done``
 ``renew``             ``{ok: bool}`` (False: lease already reclaimed)
-``result``            ``{committed: bool}`` (False: duplicate, discarded)
-``status``            coordinator heartbeat snapshot
+``result``            ``{committed: bool, done: bool}`` (committed
+                      False: duplicate, discarded)
+``status``            coordinator snapshot
 ====================  =================================================
+
+A ``done`` answer (a ``request`` reply, or ``done: True`` on a
+``result`` reply once every cell is committed) also detaches the
+worker: the coordinator drops it from its live table and counts the
+detach under the same lock, and the worker exits without sending
+``detach``.  The executor stops the coordinator as soon as the sweep
+is finished, so a detach sent after ``done`` could find the port
+already closed.
 """
 
 from __future__ import annotations
@@ -75,8 +84,8 @@ from typing import (Any, Callable, Dict, List, Optional, Sequence, Set,
                     Tuple)
 
 from .. import obs
-from .executors import (CellFailure, ExecutionContext, ExecutorHeartbeat,
-                        SweepExecutor, timed_cell)
+from .executors import (CellFailure, ExecutionContext, SweepExecutor,
+                        timed_cell)
 from .retry import RetryPolicy
 
 __all__ = [
@@ -106,6 +115,11 @@ _MAX_FRAME = 256 * 1024 * 1024
 
 #: Environment variable carrying the shared protocol secret.
 SECRET_ENV = "CAPMAN_DIST_SECRET"
+
+#: How long an idle worker waits before asking the coordinator again.
+IDLE_POLL_S = 0.05
+#: Executor loop tick: lease reaping, local fallback, finish check.
+EXECUTOR_POLL_S = 0.02
 
 
 class ProtocolError(ConnectionError):
@@ -484,8 +498,6 @@ class SweepCoordinator:
         port: int = 0,
         lease_timeout_s: float = 30.0,
         steal_after_s: Optional[float] = None,
-        worker_timeout_s: Optional[float] = None,
-        poll_s: float = 0.05,
         max_connections: int = 64,
         read_deadline_s: float = 10.0,
     ) -> None:
@@ -497,10 +509,6 @@ class SweepCoordinator:
         self.lease_timeout_s = lease_timeout_s
         self.steal_after_s = (steal_after_s if steal_after_s is not None
                               else lease_timeout_s / 2.0)
-        self.worker_timeout_s = (worker_timeout_s
-                                 if worker_timeout_s is not None
-                                 else lease_timeout_s)
-        self.poll_s = poll_s
         self.stats = DistStats()
 
         self._lock = threading.Lock()
@@ -622,6 +630,7 @@ class SweepCoordinator:
             return self._op_renew(str(message["lease"]))
         if op == "result":
             return self._op_result(str(message["lease"]),
+                                   str(message.get("worker", "")),
                                    message["payload"])
         if op == "status":
             return {"op": "status", **self.snapshot()}
@@ -644,14 +653,17 @@ class SweepCoordinator:
     def _op_attach(self, worker: str) -> Dict[str, Any]:
         with self._lock:
             self._mark_seen_locked(worker)
-        return {"op": "ok", "poll_s": self.poll_s,
+        return {"op": "ok", "poll_s": IDLE_POLL_S,
                 "lease_timeout_s": self.lease_timeout_s}
 
     def _op_detach(self, worker: str) -> Dict[str, Any]:
         with self._lock:
-            if self._workers.pop(worker, None) is not None:
-                self.stats.worker_detaches += 1
+            self._detach_locked(worker)
         return {"op": "ok"}
+
+    def _detach_locked(self, worker: str) -> None:
+        if self._workers.pop(worker, None) is not None:
+            self.stats.worker_detaches += 1
 
     def _op_request(self, worker: str) -> Dict[str, Any]:
         now = time.monotonic()
@@ -662,8 +674,9 @@ class SweepCoordinator:
             if grant is not None:
                 return grant
             if len(self._done) == len(self._cells):
+                self._detach_locked(worker)
                 return {"op": "done"}
-            return {"op": "idle", "wait_s": self.poll_s}
+            return {"op": "idle", "wait_s": IDLE_POLL_S}
 
     def _op_renew(self, lease_id: str) -> Dict[str, Any]:
         with self._lock:
@@ -678,18 +691,21 @@ class SweepCoordinator:
                 "worker": lease.worker})
             return {"op": "ok", "ok": True}
 
-    def _op_result(self, lease_id: str, payload: bytes) -> Dict[str, Any]:
+    def _op_result(self, lease_id: str, worker: str,
+                   payload: bytes) -> Dict[str, Any]:
         item = pickle.loads(payload)
         index = item[0]
         with self._lock:
             lease = self._leases.pop(lease_id, None)
-            worker = lease.worker if lease is not None else "unknown"
             committed = self._commit_locked(index, item, origin="remote")
             if committed:
                 self.stats.remote_cells += 1
-            if lease is not None:
-                self._workers[worker] = time.monotonic()
-        return {"op": "ok", "committed": committed}
+            done = len(self._done) == len(self._cells)
+            if done:
+                self._detach_locked(worker)
+            elif lease is not None:
+                self._workers[lease.worker] = time.monotonic()
+        return {"op": "ok", "committed": committed, "done": done}
 
     # -- core state transitions (all _locked) --------------------------
     def _next_grant_locked(self, worker: str,
@@ -736,7 +752,6 @@ class SweepCoordinator:
             "cell_timeout_s": ctx.cell_timeout_s,
             "ckpt_path": ctx.ckpts.get(index),
             "ckpt_every": ctx.checkpoint_every_steps,
-            "stall_timeout_s": ctx.stall_timeout_s,
             "obs_enabled": ctx.obs_enabled,
         }
 
@@ -845,8 +860,10 @@ class SweepCoordinator:
         now = time.monotonic()
         with self._lock:
             self._reap_locked(now)
+            # A live worker renews within every lease timeout, so one
+            # silent for longer is gone.
             stale = [worker for worker, seen in self._workers.items()
-                     if now - seen > self.worker_timeout_s]
+                     if now - seen > self.lease_timeout_s]
             for worker in stale:
                 self._workers.pop(worker, None)
                 self.stats.worker_detaches += 1
@@ -999,14 +1016,12 @@ class SweepWorker:
         self,
         address: Tuple[str, int],
         worker_id: Optional[str] = None,
-        poll_s: float = 0.05,
         rpc_timeout_s: float = 10.0,
         retry: Optional[RetryPolicy] = None,
         reconnect_timeout_s: float = 30.0,
     ) -> None:
         self.address = address
         self.worker_id = worker_id or f"{socket.gethostname()}-{os.getpid()}"
-        self.poll_s = poll_s
         self.rpc_timeout_s = rpc_timeout_s
         #: Connection retry schedule (not cell retries -- those are the
         #: coordinator's job).
@@ -1091,6 +1106,8 @@ class SweepWorker:
         except CoordinatorUnreachableError:
             # Never managed to attach at all: nothing to ride out.
             return self.stats
+        # A ``done`` answer already detached this worker.
+        done = False
         try:
             while not self._stop.is_set():
                 if max_cells is not None and self.stats.cells >= max_cells:
@@ -1103,21 +1120,26 @@ class SweepWorker:
                         break
                     continue
                 if reply.get("op") == "done":
+                    done = True
                     break
                 if reply.get("op") == "idle":
-                    time.sleep(float(reply.get("wait_s", self.poll_s)))
+                    time.sleep(float(reply.get("wait_s", IDLE_POLL_S)))
                     continue
                 if reply.get("op") != "grant":
                     break
-                self._execute_grant(reply)
+                if self._execute_grant(reply):
+                    done = True
+                    break
         finally:
-            try:
-                self._rpc({"op": "detach", "worker": self.worker_id})
-            except CoordinatorUnreachableError:
-                pass
+            if not done:
+                try:
+                    self._rpc({"op": "detach", "worker": self.worker_id})
+                except CoordinatorUnreachableError:
+                    pass
         return self.stats
 
-    def _execute_grant(self, grant: Dict[str, Any]) -> None:
+    def _execute_grant(self, grant: Dict[str, Any]) -> bool:
+        """Run one leased cell and deliver it; True when the sweep is done."""
         cell = pickle.loads(grant["cell"])
         lease_id = grant["lease"]
         renewer = _LeaseRenewer(
@@ -1130,7 +1152,6 @@ class SweepWorker:
                 grant.get("cell_timeout_s"),
                 grant.get("ckpt_path"),
                 int(grant.get("ckpt_every") or 0),
-                grant.get("stall_timeout_s"),
                 obs_enabled=bool(grant.get("obs_enabled")),
             )
         finally:
@@ -1155,13 +1176,14 @@ class SweepWorker:
                 break
             except CoordinatorUnreachableError:
                 if not self._ride_out_outage():
-                    return  # result undeliverable; the lease expires
+                    return False  # result undeliverable; the lease expires
                 redelivery = True
         if redelivery:
             self.stats.results_redelivered += 1
         self.stats.cells += 1
         if not reply.get("committed", False):
             self.stats.results_discarded += 1
+        return bool(reply.get("done", False))
 
 
 # ----------------------------------------------------------------------
@@ -1174,7 +1196,7 @@ class DistributedExecutor(SweepExecutor):
     ----------
     host / port:
         Bind address of the coordinator (port 0 picks a free one; the
-        bound port is on :attr:`coordinator` and in the heartbeat).
+        bound port is on :attr:`coordinator`).
     lease_timeout_s:
         Lease deadline; workers renew at a third of this, so worker
         loss is detected within one lease timeout of the last renewal.
@@ -1196,10 +1218,6 @@ class DistributedExecutor(SweepExecutor):
     max_connections / read_deadline_s:
         Coordinator admission cap and per-connection read deadline
         (see :class:`FrameServer`).
-    max_wall_s:
-        Optional hard ceiling on one sweep; on expiry the remaining
-        cells fail as ``DistributedTimeoutError`` CellFailures
-        (only reachable with ``local_fallback=False``).
     """
 
     name = "distributed"
@@ -1213,10 +1231,8 @@ class DistributedExecutor(SweepExecutor):
         spawn_workers: int = 0,
         workers_grace_s: float = 2.0,
         local_fallback: bool = True,
-        poll_s: float = 0.02,
         max_connections: int = 64,
         read_deadline_s: float = 10.0,
-        max_wall_s: Optional[float] = None,
     ) -> None:
         super().__init__()
         self.host = host
@@ -1226,10 +1242,8 @@ class DistributedExecutor(SweepExecutor):
         self.spawn_workers = spawn_workers
         self.workers_grace_s = workers_grace_s
         self.local_fallback = local_fallback
-        self.poll_s = poll_s
         self.max_connections = max_connections
         self.read_deadline_s = read_deadline_s
-        self.max_wall_s = max_wall_s
         self.coordinator: Optional[SweepCoordinator] = None
         self.stats: DistStats = DistStats()
         self._procs: List[subprocess.Popen] = []
@@ -1272,10 +1286,6 @@ class DistributedExecutor(SweepExecutor):
             while not coordinator.finished:
                 coordinator.reap()
                 self._drain_events(ctx)
-                if self.max_wall_s is not None \
-                        and time.monotonic() - started > self.max_wall_s:
-                    self._fail_remaining(coordinator)
-                    break
                 if self._should_fall_back(coordinator, started):
                     claimed = coordinator.claim_local()
                     if claimed is not None:
@@ -1283,11 +1293,10 @@ class DistributedExecutor(SweepExecutor):
                         item = timed_cell(
                             cell, ctx.cell_timeout_s,
                             ctx.ckpts.get(cell.index),
-                            ctx.checkpoint_every_steps,
-                            ctx.stall_timeout_s)
+                            ctx.checkpoint_every_steps)
                         coordinator.commit_local(lease_id, item)
                         continue
-                time.sleep(self.poll_s)
+                time.sleep(EXECUTOR_POLL_S)
             self._drain_events(ctx)
             items = coordinator.results()
             if ctx.obs_enabled:
@@ -1298,7 +1307,6 @@ class DistributedExecutor(SweepExecutor):
                     blob = getattr(item[1], "telemetry", None)
                     if blob is not None:
                         self._blobs.append(blob)
-            self._done = len(items)
             coordinator._sync_frame_stats()
             self.stats = coordinator.stats
             self._export_counters()
@@ -1306,23 +1314,6 @@ class DistributedExecutor(SweepExecutor):
         finally:
             self._reap_local_workers()
             coordinator.stop()
-
-    def heartbeat(self) -> ExecutorHeartbeat:
-        coordinator = self.coordinator
-        if coordinator is None:
-            return ExecutorHeartbeat(backend=self.name,
-                                     at_monotonic=time.monotonic())
-        snap = coordinator.snapshot()
-        return ExecutorHeartbeat(
-            backend=self.name,
-            at_monotonic=time.monotonic(),
-            workers=snap["workers"],
-            done=snap["done"],
-            in_flight=snap["leases"],
-            detail={"ready": float(snap["ready"]),
-                    "port": float(coordinator.port),
-                    **{k: float(v) for k, v in snap["stats"].items()}},
-        )
 
     def remote_blobs(self) -> List[obs.RunTelemetry]:
         blobs, self._blobs = self._blobs, []
@@ -1341,20 +1332,6 @@ class DistributedExecutor(SweepExecutor):
             # once their leases have been reaped.
             return True
         return time.monotonic() - started >= grace
-
-    def _fail_remaining(self, coordinator: SweepCoordinator) -> None:
-        while True:
-            claimed = coordinator.claim_local()
-            if claimed is None:
-                break
-            lease_id, cell = claimed
-            failure = CellFailure(
-                label=cell.label,
-                error_type="DistributedTimeoutError",
-                message=f"sweep exceeded max_wall_s={self.max_wall_s}",
-            )
-            coordinator.commit_local(lease_id,
-                                     (cell.index, failure, 0.0, 0))
 
     def _drain_events(self, ctx: ExecutionContext) -> None:
         coordinator = self.coordinator

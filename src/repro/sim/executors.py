@@ -10,8 +10,7 @@ how*.  The interface is deliberately small:
 * :meth:`SweepExecutor.submit` runs one cell to a final outcome --
   a :data:`CellResult` or a contained :class:`CellFailure`;
 * :meth:`SweepExecutor.run` maps ``submit`` over a batch (backends
-  override it to fan out);
-* :meth:`SweepExecutor.heartbeat` is a liveness/progress snapshot.
+  override it to fan out).
 
 :class:`LocalProcessExecutor` reproduces the historic in-repo
 behaviour byte-for-byte: serial in-process execution for one worker,
@@ -56,7 +55,6 @@ __all__ = [
     "CellFailure",
     "CellTimeoutError",
     "ExecutionContext",
-    "ExecutorHeartbeat",
     "SweepExecutor",
     "LocalProcessExecutor",
     "timed_cell",
@@ -112,8 +110,7 @@ CellItem = Tuple[int, CellOutcome, float, int]
 # ----------------------------------------------------------------------
 def _run_cell_once(cell: "ScenarioCell",
                    checkpointer: Optional[Checkpointer],
-                   resume_from: Optional[SimCheckpoint],
-                   stall_timeout_s: Optional[float]) -> CellResult:
+                   resume_from: Optional[SimCheckpoint]) -> CellResult:
     """One attempt at a cell, optionally durable.
 
     The policy template and extra run arguments are cloned via a
@@ -136,8 +133,6 @@ def _run_cell_once(cell: "ScenarioCell",
             **durable, **extra,
         )
     else:
-        if stall_timeout_s is not None:
-            durable["stall_timeout_s"] = stall_timeout_s
         result = run_discharge_cycle(
             policy, cell.trace, profile=cell.profile,
             control_dt=cell.control_dt, max_duration_s=cell.max_duration_s,
@@ -149,8 +144,7 @@ def _run_cell_once(cell: "ScenarioCell",
 
 def _execute_cell(cell: "ScenarioCell",
                   ckpt_path: Optional[str] = None,
-                  ckpt_every: int = 0,
-                  stall_timeout_s: Optional[float] = None) -> CellResult:
+                  ckpt_every: int = 0) -> CellResult:
     """Run one scenario cell (worker entry point; must be picklable).
 
     When ``ckpt_path`` is set (journalled sweeps), the cell writes
@@ -161,12 +155,11 @@ def _execute_cell(cell: "ScenarioCell",
     cell recomputes from scratch -- stale state is never trusted.
     """
     if ckpt_path is None:
-        return _run_cell_once(cell, None, None, stall_timeout_s)
+        return _run_cell_once(cell, None, None)
     checkpointer = Checkpointer(ckpt_path, every_steps=ckpt_every)
     resume_from = SimCheckpoint.try_load(ckpt_path)
     try:
-        return _run_cell_once(cell, checkpointer, resume_from,
-                              stall_timeout_s)
+        return _run_cell_once(cell, checkpointer, resume_from)
     except StateMismatchError:
         if resume_from is None:
             raise
@@ -174,7 +167,7 @@ def _execute_cell(cell: "ScenarioCell",
             os.unlink(ckpt_path)
         except OSError:
             pass
-        return _run_cell_once(cell, checkpointer, None, stall_timeout_s)
+        return _run_cell_once(cell, checkpointer, None)
 
 
 def choose_timeout_mechanism(timeout_s: Optional[float]) -> str:
@@ -200,8 +193,7 @@ def choose_timeout_mechanism(timeout_s: Optional[float]) -> str:
 def _execute_with_timeout(cell: "ScenarioCell",
                           timeout_s: Optional[float],
                           ckpt_path: Optional[str] = None,
-                          ckpt_every: int = 0,
-                          stall_timeout_s: Optional[float] = None) -> CellResult:
+                          ckpt_every: int = 0) -> CellResult:
     """Run one cell under a wall-clock budget.
 
     SIGALRM delivers a hard timeout on the main thread of a POSIX
@@ -215,7 +207,7 @@ def _execute_with_timeout(cell: "ScenarioCell",
     """
     mechanism = choose_timeout_mechanism(timeout_s)
     if mechanism == "none":
-        return _execute_cell(cell, ckpt_path, ckpt_every, stall_timeout_s)
+        return _execute_cell(cell, ckpt_path, ckpt_every)
     message = f"cell exceeded the per-cell timeout of {timeout_s} s"
     if mechanism == "cooperative":
         warnings.warn(
@@ -224,8 +216,7 @@ def _execute_with_timeout(cell: "ScenarioCell",
             "deadline polled by the simulation loop (best-effort)",
             RuntimeWarning, stacklevel=2)
         with thread_deadline(timeout_s, message, exc_type=CellTimeoutError):
-            return _execute_cell(cell, ckpt_path, ckpt_every,
-                                 stall_timeout_s)
+            return _execute_cell(cell, ckpt_path, ckpt_every)
     import signal
 
     def _on_alarm(signum, frame):
@@ -234,7 +225,7 @@ def _execute_with_timeout(cell: "ScenarioCell",
     previous = signal.signal(signal.SIGALRM, _on_alarm)
     signal.setitimer(signal.ITIMER_REAL, timeout_s)
     try:
-        return _execute_cell(cell, ckpt_path, ckpt_every, stall_timeout_s)
+        return _execute_cell(cell, ckpt_path, ckpt_every)
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0.0)
         signal.signal(signal.SIGALRM, previous)
@@ -243,7 +234,6 @@ def _execute_with_timeout(cell: "ScenarioCell",
 def timed_cell(
     cell: "ScenarioCell", timeout_s: Optional[float] = None,
     ckpt_path: Optional[str] = None, ckpt_every: int = 0,
-    stall_timeout_s: Optional[float] = None,
     obs_enabled: bool = False,
 ) -> CellItem:
     """(index, outcome, compute seconds, steps) for one cell.
@@ -273,7 +263,7 @@ def timed_cell(
     try:
         try:
             result: CellOutcome = _execute_with_timeout(
-                cell, timeout_s, ckpt_path, ckpt_every, stall_timeout_s)
+                cell, timeout_s, ckpt_path, ckpt_every)
         except Exception as exc:
             elapsed = time.perf_counter() - started
             failure = CellFailure(
@@ -313,8 +303,6 @@ class ExecutionContext:
     ckpts: Dict[int, str] = field(default_factory=dict)
     #: In-cell sidecar checkpoint cadence in control steps.
     checkpoint_every_steps: int = 0
-    #: Heartbeat-stall watchdog for journalled discharge cells.
-    stall_timeout_s: Optional[float] = None
     #: Retry/backoff schedule for infrastructure failures.
     retry: RetryPolicy = DEFAULT_RETRY
     #: Pool width hint (the runner's ``workers``).
@@ -371,24 +359,6 @@ class ExecutionContext:
             reasons[reason] = reasons.get(reason, 0) + 1
 
 
-@dataclass
-class ExecutorHeartbeat:
-    """A point-in-time liveness snapshot of a backend."""
-
-    #: Backend name ("local", "distributed", ...).
-    backend: str
-    #: Monotonic timestamp of the snapshot.
-    at_monotonic: float
-    #: Workers currently attached/usable.
-    workers: int = 0
-    #: Cells finished so far in the current batch.
-    done: int = 0
-    #: Cells handed out but not yet finished (leases, futures).
-    in_flight: int = 0
-    #: Extra backend-specific gauges.
-    detail: Dict[str, float] = field(default_factory=dict)
-
-
 class SweepExecutor:
     """Interface every sweep backend implements.
 
@@ -403,7 +373,6 @@ class SweepExecutor:
 
     def __init__(self) -> None:
         self._ctx: Optional[ExecutionContext] = None
-        self._done = 0
 
     # -- lifecycle -----------------------------------------------------
     def attach(self, ctx: ExecutionContext) -> None:
@@ -411,7 +380,6 @@ class SweepExecutor:
         if self._ctx is not None:
             raise RuntimeError(f"{type(self).__name__} is already attached")
         self._ctx = ctx
-        self._done = 0
 
     def detach(self) -> None:
         """Release the sweep binding (idempotent)."""
@@ -431,8 +399,7 @@ class SweepExecutor:
         ctx.started(cell.index)
         item = timed_cell(cell, ctx.cell_timeout_s,
                           ctx.ckpts.get(cell.index),
-                          ctx.checkpoint_every_steps, ctx.stall_timeout_s)
-        self._done += 1
+                          ctx.checkpoint_every_steps)
         ctx.finalise(item[0], item[1])
         return item
 
@@ -441,12 +408,6 @@ class SweepExecutor:
         return [self.submit(cell) for cell in cells]
 
     # -- introspection -------------------------------------------------
-    def heartbeat(self) -> ExecutorHeartbeat:
-        """Liveness/progress snapshot (cheap, thread-safe)."""
-        return ExecutorHeartbeat(backend=self.name,
-                                 at_monotonic=time.monotonic(),
-                                 workers=1, done=self._done)
-
     def remote_blobs(self) -> List[obs.RunTelemetry]:
         """Telemetry blobs of cells computed *outside* this process.
 
@@ -475,23 +436,15 @@ class LocalProcessExecutor(SweepExecutor):
         super().__init__()
         self.workers = max(1, workers)
         self._blobs: List[obs.RunTelemetry] = []
-        self._in_flight = 0
 
     def attach(self, ctx: ExecutionContext) -> None:
         super().attach(ctx)
         self._blobs = []
-        self._in_flight = 0
 
     def run(self, cells: Sequence["ScenarioCell"]) -> List[CellItem]:
         if self.workers <= 1 or len(cells) <= 1:
             return [self.submit(cell) for cell in cells]
         return self._run_pool(cells)
-
-    def heartbeat(self) -> ExecutorHeartbeat:
-        return ExecutorHeartbeat(backend=self.name,
-                                 at_monotonic=time.monotonic(),
-                                 workers=self.workers, done=self._done,
-                                 in_flight=self._in_flight)
 
     def remote_blobs(self) -> List[obs.RunTelemetry]:
         blobs, self._blobs = self._blobs, []
@@ -529,12 +482,10 @@ class LocalProcessExecutor(SweepExecutor):
                     futures = [
                         (pool.submit(timed_cell, cell, ctx.cell_timeout_s,
                                      ctx.ckpts.get(cell.index),
-                                     ctx.checkpoint_every_steps,
-                                     ctx.stall_timeout_s, obs_on),
+                                     ctx.checkpoint_every_steps, obs_on),
                          cell)
                         for cell in group
                     ]
-                    self._in_flight = len(futures)
                     for _, cell in futures:
                         ctx.started(cell.index)
                     for future, cell in futures:
@@ -551,7 +502,6 @@ class LocalProcessExecutor(SweepExecutor):
                                 )
                                 outcomes[cell.index] = (cell.index, failure,
                                                         0.0, 0)
-                                self._done += 1
                                 ctx.finalise(cell.index, failure)
                             else:
                                 wait = retry_policy.sleep(
@@ -565,13 +515,11 @@ class LocalProcessExecutor(SweepExecutor):
                                 outcome,
                                 attempts=attempts[cell.index] + 1)
                         outcomes[cell.index] = (index, outcome, elapsed, steps)
-                        self._done += 1
                         ctx.finalise(index, outcome)
                         if obs_on:
                             blob = getattr(outcome, "telemetry", None)
                             if blob is not None:
                                 self._blobs.append(blob)
-                    self._in_flight = 0
             todo = retry
             # After any pool breakage, quarantine survivors one per pool.
             isolate = True

@@ -577,11 +577,6 @@ class ScenarioRunner:
         cells (0 disables in-cell checkpoints; commit-level durability
         still applies).  For "daily" sweeps checkpoints land at day
         boundaries regardless of cadence.
-    stall_timeout_s:
-        Optional heartbeat-stall watchdog for journalled discharge
-        cells: a cell whose control loop stops beating for this long
-        has its latest sidecar checkpoint flushed and is retired as a
-        contained timeout failure.
     """
 
     def __init__(
@@ -592,7 +587,6 @@ class ScenarioRunner:
         cell_timeout_s: Optional[float] = None,
         journal: Union[str, Path, None] = None,
         checkpoint_every_steps: int = 0,
-        stall_timeout_s: Optional[float] = None,
         retry: Optional[RetryPolicy] = None,
         executor: Optional[SweepExecutor] = None,
     ) -> None:
@@ -610,7 +604,6 @@ class ScenarioRunner:
         if checkpoint_every_steps < 0:
             raise ValueError("checkpoint_every_steps must be non-negative")
         self.checkpoint_every_steps = checkpoint_every_steps
-        self.stall_timeout_s = stall_timeout_s
         #: Guards the per-cell state map behind :meth:`progress`.
         self._progress_lock = threading.Lock()
         self._cell_states: Dict[int, str] = {}
@@ -842,7 +835,6 @@ class ScenarioRunner:
                     cell_timeout_s=self.cell_timeout_s,
                     ckpts=ckpts,
                     checkpoint_every_steps=self.checkpoint_every_steps,
-                    stall_timeout_s=self.stall_timeout_s,
                     retry=self.retry,
                     workers=self.workers,
                     obs_enabled=observing,

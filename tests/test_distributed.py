@@ -425,14 +425,3 @@ class TestExecutor:
         assert executor.stats.worker_attaches >= 1
         assert (executor.stats.worker_attaches
                 == executor.stats.worker_detaches)
-
-    def test_heartbeat_reports_progress(self, trace):
-        executor = DistributedExecutor(spawn_workers=0, workers_grace_s=0.05)
-        beat = executor.heartbeat()
-        assert beat.backend == "distributed"
-        assert beat.done == 0
-        ScenarioRunner(executor=executor).run(_spec(trace, mahs=(30,)))
-        beat = executor.heartbeat()
-        assert beat.done == 1
-        assert beat.in_flight == 0
-        assert beat.detail["port"] > 0

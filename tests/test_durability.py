@@ -2,7 +2,7 @@
 
 Covers the versioned state-dict discipline, checksummed checkpoints,
 the write-ahead journal's torn-tail recovery, run budgets, cooperative
-deadlines, the stall watchdog and the advisory file lock -- each in
+deadlines and the advisory file lock -- each in
 isolation, before the integration tests exercise them through the
 simulation harnesses.
 """
@@ -16,17 +16,10 @@ import time
 
 import pytest
 
-from repro.durability.budget import (
-    BudgetExceededError,
-    Heartbeat,
-    HeartbeatWatchdog,
-    RunBudget,
-    retire_on_stall,
-)
+from repro.durability.budget import BudgetExceededError, RunBudget
 from repro.durability.deadline import (
     DeadlineExceededError,
     clear_deadline,
-    expire_deadline,
     poll_deadline,
     set_deadline,
     thread_deadline,
@@ -162,12 +155,6 @@ class TestCheckpointer:
         assert SimCheckpoint.load(path) == ckpt
         assert seen == [ckpt]
 
-    def test_flush_writes_latest(self, tmp_path):
-        path = tmp_path / "run.ckpt"
-        ck = Checkpointer(path)
-        ck.latest = SimCheckpoint.create("test", {"v": 2})
-        ck.flush()
-        assert SimCheckpoint.load(path).payload == {"v": 2}
 
 
 # ----------------------------------------------------------------------
@@ -312,69 +299,6 @@ class TestDeadlines:
             poll_deadline()
         poll_deadline()
 
-    def test_cross_thread_expiry(self):
-        """A watchdog force-expires another thread's deadline."""
-        armed = threading.Event()
-        raised = []
-
-        def victim():
-            set_deadline(3600.0, "slow run")
-            armed.set()
-            for _ in range(2000):
-                try:
-                    poll_deadline()
-                except DeadlineExceededError as exc:
-                    raised.append(str(exc))
-                    return
-                time.sleep(0.001)
-
-        thread = threading.Thread(target=victim)
-        thread.start()
-        assert armed.wait(5.0)
-        expire_deadline(thread.ident, "retired by watchdog")
-        thread.join(timeout=5.0)
-        assert raised and "retired by watchdog" in raised[0]
-
-
-class TestWatchdog:
-    def test_fires_on_stall_once_per_episode(self):
-        fired = []
-        hb = Heartbeat()
-        dog = HeartbeatWatchdog(hb, stall_timeout_s=0.05,
-                                on_stall=lambda: fired.append(1),
-                                poll_s=0.01)
-        with dog:
-            time.sleep(0.2)
-        assert len(fired) == 1
-        assert dog.stalls == 1
-
-    def test_quiet_while_beating(self):
-        fired = []
-        hb = Heartbeat()
-        dog = HeartbeatWatchdog(hb, stall_timeout_s=0.2,
-                                on_stall=lambda: fired.append(1),
-                                poll_s=0.01)
-        with dog:
-            for _ in range(10):
-                hb.beat()
-                time.sleep(0.01)
-        assert fired == []
-
-    def test_retire_on_stall_flushes_and_expires(self, tmp_path):
-        path = tmp_path / "stall.ckpt"
-        ck = Checkpointer(path)
-        ck.latest = SimCheckpoint.create("test", {"v": 7})
-        on_stall = retire_on_stall(ck, threading.get_ident(), label="cell")
-        set_deadline(3600.0, exc_type=DeadlineExceededError)
-        try:
-            on_stall()
-            assert SimCheckpoint.load(path).payload == {"v": 7}
-            with pytest.raises(DeadlineExceededError, match="stalled"):
-                poll_deadline()
-        finally:
-            clear_deadline()
-
-
 # ----------------------------------------------------------------------
 # lock.py
 # ----------------------------------------------------------------------
@@ -392,6 +316,32 @@ class TestFileLock:
             with lock:
                 assert lock.held
             assert lock.held
+        assert not lock.held
+
+    def test_threads_sharing_one_instance_serialise(self, tmp_path):
+        """Two threads on one instance never hold it at the same time."""
+        lock = FileLock(tmp_path / "x.lock")
+        inside = [0]
+        peak = [0]
+        errors = []
+
+        def worker():
+            try:
+                for _ in range(5000):
+                    with lock:
+                        inside[0] += 1
+                        peak[0] = max(peak[0], inside[0])
+                        inside[0] -= 1
+            except Exception as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert errors == []
+        assert peak[0] == 1
         assert not lock.held
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="POSIX only")

@@ -11,24 +11,20 @@ the public HTTP surface:
 * an overlapping-but-different grid dedupes cell-wise through the
   shared result cache;
 * progress/events/metrics expose the job as it moves through the
-  lifecycle;
-* a store given ``dist_workers`` runs its jobs on the distributed
-  backend with the same per-cell bytes.
+  lifecycle.
 """
 
 import base64
 import http.client
 import json
 import pickle
-import time
 
 import pytest
 
-from repro.service import CapmanService, JobStore, job_id_for, parse_spec
+from repro.service import CapmanService, job_id_for, parse_spec
 from repro.sim.sweep import ScenarioRunner
 
-from service_client import (POLL_DEADLINE_S, api, small_grid,
-                            wait_for_job)
+from service_client import api, small_grid, wait_for_job
 
 
 @pytest.fixture()
@@ -153,26 +149,3 @@ class TestEndToEnd:
 
     def test_healthz_is_open_and_truthful(self, base):
         assert api(base, "GET", "/healthz") == (200, {"ok": True})
-
-
-class TestDistributedJobs:
-    def test_dist_workers_job_matches_direct_runner(self, tmp_path,
-                                                    monkeypatch):
-        monkeypatch.delenv("CAPMAN_DIST_SECRET", raising=False)
-        spec = parse_spec(small_grid())
-        store = JobStore(tmp_path / "state", job_runners=1, dist_workers=1)
-        try:
-            job, created = store.submit(spec)
-            assert created
-            deadline = time.monotonic() + POLL_DEADLINE_S
-            while job.state not in ("done", "failed"):
-                assert time.monotonic() < deadline, "job never finished"
-                time.sleep(0.05)
-            assert job.state == "done", job.error
-            assert job.stats["executor"] == "distributed"
-            served = store.result_blobs(job.job_id)
-        finally:
-            store.close()
-        direct = ScenarioRunner().run(spec)
-        assert served == [pickle.dumps(r, protocol=4)
-                          for r in direct.results]
