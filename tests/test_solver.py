@@ -104,3 +104,47 @@ class TestPolicyIteration:
     def test_converges_in_few_iterations(self):
         pi = policy_iteration(random_mdp(8, 2, seed=17), rho=0.9)
         assert pi.iterations < 20
+
+
+class TestPythonVersionParity:
+    """Pinned bits: every Python version must produce these exact floats.
+
+    Each backup accumulates left to right in an explicit loop, so the
+    result does not depend on ``sum()``, whose float algorithm became
+    compensated summation in Python 3.12.  On this MDP a compensated
+    sum would change every value and Q-value below.
+    """
+
+    STATES = ["s0", "s1", "s2"]
+    PROBS = {
+        ("s0", "x"): (0.7, 0.2, 0.1), ("s0", "y"): (0.7, 0.1, 0.2),
+        ("s1", "x"): (0.4, 0.2, 0.4), ("s1", "y"): (0.2, 0.1, 0.7),
+        ("s2", "x"): (0.3, 0.2, 0.5), ("s2", "y"): (0.6, 0.2, 0.2),
+    }
+    REWARDS = {
+        ("s0", "x"): (0.05, 0.33, 0.65), ("s0", "y"): (1.0, 0.38, 0.61),
+        ("s1", "x"): (0.64, 0.17, 0.36), ("s1", "y"): (0.79, 0.32, 0.68),
+        ("s2", "x"): (0.12, 0.93, 0.09), ("s2", "y"): (0.71, 0.12, 0.45),
+    }
+
+    def test_value_iteration_bits(self):
+        mdp = MDP(
+            self.STATES,
+            ["x", "y"],
+            {k: dict(zip(self.STATES, ps)) for k, ps in self.PROBS.items()},
+            {(s, a, sp): r for (s, a), rs in self.REWARDS.items()
+             for sp, r in zip(self.STATES, rs)},
+        )
+        sol = value_iteration(mdp, rho=0.9, tol=1e-10)
+        assert [v.hex() for v in sol.values.values()] == [
+            "0x1.e997d7591160cp+2", "0x1.d30c4d46a885ep+2",
+            "0x1.d31585cd2bc7ep+2",
+        ]
+        assert [v.hex() for v in sol.q_values.values()] == [
+            "0x1.bd2c83ecccf77p+2", "0x1.e997d75929acfp+2",
+            "0x1.c83f99f08020ap+2", "0x1.d30c4d46c0d22p+2",
+            "0x1.bb88dd5a2e892p+2", "0x1.d31585cd44143p+2",
+        ]
+        assert sol.policy == {"s0": "y", "s1": "y", "s2": "y"}
+        assert sol.iterations == 217
+        assert sol.residual.hex() == "0x1.aff6000000000p-34"
