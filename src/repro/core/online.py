@@ -362,10 +362,12 @@ class OnlineScheduler:
         for _ in range(sweeps):
             best = -math.inf
             for a in acts:
-                q = sum(
-                    p * (self.mdp.reward(state, a, sp) + self.rho * values.get(sp, 0.0))
-                    for sp, p in self.mdp.transitions[(state, a)].items()
-                )
+                # Left to right, as in core/solver.py: float sum() became
+                # compensated summation in Python 3.12.
+                q = 0.0
+                for sp, p in self.mdp.transitions[(state, a)].items():
+                    q += p * (self.mdp.reward(state, a, sp)
+                              + self.rho * values.get(sp, 0.0))
                 if q > best:
                     best = q
             values[state] = best

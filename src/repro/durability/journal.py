@@ -1,11 +1,15 @@
 """Write-ahead run journal: fsync'd JSONL with torn-tail recovery.
 
-The sweep engine appends one record per cell event (start, commit) to
-a :class:`RunJournal`.  Each record is a single JSON line carrying a
-monotonically increasing sequence number and a checksum over its own
-content, and every append is flushed *and* fsync'd before the caller
-proceeds -- that is what makes the journal a write-ahead log: a cell
-is only ever considered committed once its commit record is durable.
+The sweep engine appends to a :class:`RunJournal` only what a resume
+reads back: one ``sweep_start`` header (pickled spec + key salt), one
+``cell_commit`` per committed result, and -- distributed sweeps only --
+one ``lease_grant`` per lease the coordinator hands out (crash
+recovery charges grants that never committed).  Each record is a
+single JSON line carrying a monotonically increasing sequence number
+and a checksum over its own content, and every append is flushed
+*and* fsync'd before the caller proceeds -- that is what makes the
+journal a write-ahead log: a cell is only ever considered committed
+once its commit record is durable.
 
 A SIGKILL can still land mid-``write``; the victim is the *tail* line,
 which is then incomplete or fails its checksum.  :meth:`RunJournal.replay`

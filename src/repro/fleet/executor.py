@@ -23,7 +23,6 @@ import time
 import warnings
 from typing import Dict, List, Optional, Sequence
 
-from .. import obs
 from ..sim.executors import (CellItem, ExecutionContext, LocalProcessExecutor,
                              SweepExecutor)
 from ..sim.sweep import ScenarioCell
@@ -37,30 +36,14 @@ class FleetExecutor(SweepExecutor):
 
     name = "fleet"
 
-    def __init__(self) -> None:
-        super().__init__()
-        self._inner = LocalProcessExecutor()
-
-    def attach(self, ctx: ExecutionContext) -> None:
-        super().attach(ctx)
-        self._inner = LocalProcessExecutor(ctx.workers)
-        self._inner.attach(ctx)
-
-    def detach(self) -> None:
-        self._inner.detach()
-        super().detach()
-
-    def remote_blobs(self) -> List[obs.RunTelemetry]:
-        return self._inner.remote_blobs()
-
-    def run(self, cells: Sequence[ScenarioCell]) -> List[CellItem]:
-        ctx = self.ctx
-        reasons = {cell.index: self._fallback_reason(cell) for cell in cells}
+    def run(self, cells: Sequence[ScenarioCell],
+            ctx: ExecutionContext) -> List[CellItem]:
+        reasons = {cell.index: _fallback_reason(cell, ctx) for cell in cells}
         batch = [cell for cell in cells if reasons[cell.index] is None]
         items: Dict[int, CellItem] = {}
         if batch:
             try:
-                computed = self._run_batch(batch)
+                computed = _run_batch(batch, ctx)
             except Exception as exc:
                 warnings.warn(f"fleet batch of {len(batch)} cells raised "
                               f"{type(exc).__name__}: {exc}; running them "
@@ -74,35 +57,39 @@ class FleetExecutor(SweepExecutor):
         fallback = [cell for cell in cells if cell.index not in items]
         for cell in fallback:
             ctx.count_fallback(reasons[cell.index])  # type: ignore[arg-type]
-        items.update((item[0], item) for item in self._inner.run(fallback))
+        items.update((item[0], item) for item in
+                     LocalProcessExecutor(ctx.workers).run(fallback, ctx))
         return [items[cell.index] for cell in cells]
 
-    def _fallback_reason(self, cell: ScenarioCell) -> Optional[str]:
-        """Why ``cell`` cannot join the batch, or None when it can."""
-        ctx = self.ctx
-        if ctx.obs_enabled:
-            return "obs"
-        if (ctx.cell_timeout_s or 0) > 0:
-            return "timeout"
-        if cell.kind != "discharge":
-            return f"kind={cell.kind}"
-        if cell.extra:
-            return "extra run arguments"
-        return unsupported_reason(cell.policy)
 
-    def _run_batch(self, cells: Sequence[ScenarioCell]) -> List[CellItem]:
-        """One vectorised run; the wall time is amortised over its rows."""
-        started = time.perf_counter()
-        for cell in cells:
-            self.ctx.started(cell.index)
-        spec = FleetSpec([
-            DeviceSpec(policy=cell.policy, trace=cell.trace,
-                       profile=cell.profile, control_dt=cell.control_dt,
-                       max_duration_s=cell.max_duration_s,
-                       ambient_c=cell.ambient_c,
-                       record_every=cell.record_every)
-            for cell in cells])
-        results = spec.build().run_sharded(self.ctx.workers)
-        elapsed = (time.perf_counter() - started) / len(cells)
-        return [(cell.index, result, elapsed, result.step_count)
-                for cell, result in zip(cells, results)]
+def _fallback_reason(cell: ScenarioCell,
+                     ctx: ExecutionContext) -> Optional[str]:
+    """Why ``cell`` cannot join the batch, or None when it can."""
+    if ctx.obs_enabled:
+        return "obs"
+    if (ctx.cell_timeout_s or 0) > 0:
+        return "timeout"
+    if cell.kind != "discharge":
+        return f"kind={cell.kind}"
+    if cell.extra:
+        return "extra run arguments"
+    return unsupported_reason(cell.policy)
+
+
+def _run_batch(cells: Sequence[ScenarioCell],
+               ctx: ExecutionContext) -> List[CellItem]:
+    """One vectorised run; the wall time is amortised over its rows."""
+    started = time.perf_counter()
+    for cell in cells:
+        ctx.started(cell.index)
+    spec = FleetSpec([
+        DeviceSpec(policy=cell.policy, trace=cell.trace,
+                   profile=cell.profile, control_dt=cell.control_dt,
+                   max_duration_s=cell.max_duration_s,
+                   ambient_c=cell.ambient_c,
+                   record_every=cell.record_every)
+        for cell in cells])
+    results = spec.build().run_sharded(ctx.workers)
+    elapsed = (time.perf_counter() - started) / len(cells)
+    return [(cell.index, result, elapsed, result.step_count)
+            for cell, result in zip(cells, results)]

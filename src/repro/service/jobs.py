@@ -41,7 +41,6 @@ from typing import Any, Dict, List, Optional, Union
 
 from ..durability.journal import RunJournal, decode_blob, encode_blob
 from ..obs.tracer import Tracer
-from ..sim.retry import RetryPolicy
 from ..sim.sweep import (ScenarioRunner, SweepCache, SweepResult, SweepSpec,
                          cell_key, code_salt)
 from .schemas import ApiError
@@ -96,14 +95,12 @@ class JobStore:
         cell_workers: int = 1,
         job_runners: int = 2,
         metrics: Any = None,
-        retry: Optional[RetryPolicy] = None,
     ) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self.cell_workers = max(1, cell_workers)
         self.cache = SweepCache(self.root / "cache")
         self.metrics = metrics
-        self.retry = retry
         self._salt = code_salt()
         self._lock = threading.Lock()
         self._jobs: Dict[str, Job] = {}
@@ -252,7 +249,6 @@ class JobStore:
             workers=self.cell_workers,
             cache=self.cache,
             journal=job_dir / "run.journal",
-            retry=self.retry,
         )
 
     def _runner_loop(self) -> None:

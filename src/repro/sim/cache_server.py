@@ -70,7 +70,6 @@ class CacheServerStats:
     partitioned_drops: int = 0
     #: Replies deliberately truncated mid-frame (chaos).
     torn_replies: int = 0
-    bad_requests: int = 0
 
 
 class CacheServer:
@@ -114,7 +113,7 @@ class CacheServer:
         self._partitioned = threading.Event()
         self._torn_replies = 0
         self._frames = FrameServer(
-            handler=self._handler, host=host, port=port,
+            handler=self._dispatch, host=host, port=port,
             name="cache-server", max_connections=max_connections,
             read_deadline_s=read_deadline_s,
             gate=self._gate, sender=self._send_reply)
@@ -162,16 +161,6 @@ class CacheServer:
             return False  # close without replying: the partition
         return True
 
-    def _handler(self, message: Dict[str, Any]) -> Dict[str, Any]:
-        try:
-            return self._dispatch(message)
-        except Exception:
-            # A structurally valid frame carrying a broken request
-            # (unpicklable payload, wrong field types) is the sender's
-            # problem; never crash the handler thread.
-            self.stats.bad_requests += 1
-            return {"op": "error", "error": "bad request"}
-
     def _send_reply(self, conn: socket.socket,
                     reply: Dict[str, Any]) -> None:
         with self._lock:
@@ -193,7 +182,10 @@ class CacheServer:
         self.stats.torn_replies += 1
 
     def _dispatch(self, message: Dict[str, Any]) -> Dict[str, Any]:
-        op = message.get("op")
+        # A well-framed but broken request (missing field, unpicklable
+        # value, unknown op) raises; the FrameServer answers it with an
+        # error reply and counts it in ``protocol_errors``.
+        op = message["op"]
         if op == "cache_ping":
             return {"op": "ok", "ok": True}
         if op == "cache_get":
@@ -213,8 +205,7 @@ class CacheServer:
             return {"op": "ok", "entries": len(self.store),
                     "gets": self.stats.gets, "hits": self.stats.hits,
                     "puts": self.stats.puts}
-        self.stats.bad_requests += 1
-        return {"op": "error", "error": f"unknown op {op!r}"}
+        raise ProtocolError(f"unknown op {op!r}")
 
 
 # ----------------------------------------------------------------------

@@ -42,19 +42,28 @@ network only, exactly like a ``ProcessPoolExecutor`` whose workers
 happen to live on other hosts.
 
 Wire protocol (all messages are dicts inside checksummed frames, one
-request + one response per connection):
+request + one response per connection; cells and results ride in the
+message dict itself, pickled once with the frame):
 
-====================  =================================================
-request                response
-====================  =================================================
-``attach``            ``{ok, poll_s}``
-``detach``            ``{ok}``
-``request``           ``grant`` (lease + cell blob) / ``idle`` / ``done``
-``renew``             ``{ok: bool}`` (False: lease already reclaimed)
-``result``            ``{committed: bool, done: bool}`` (committed
-                      False: duplicate, discarded)
-``status``            coordinator snapshot
-====================  =================================================
+========================  =============================================
+request                    response
+========================  =============================================
+``attach {worker}``       ``{ok, poll_s}``
+``detach {worker}``       ``{ok}``
+``request {worker}``      ``grant {lease, lease_timeout_s, call}`` (call:
+                          the :func:`~repro.sim.executors.timed_cell`
+                          keyword arguments, cell included) / ``idle`` /
+                          ``done``
+``renew {lease}``         ``{ok: bool}`` (False: lease already reclaimed)
+``result {lease, worker,  ``{committed: bool, done: bool}`` (committed
+item}``                   False: duplicate, discarded); ``item`` is the
+                          ``(index, outcome, seconds, steps)`` tuple
+``status``                coordinator snapshot
+========================  =============================================
+
+A well-framed message with a missing field, or a ``result`` whose
+``item`` is not such a tuple, is answered ``{op: "error"}`` and counted
+in ``protocol_errors``; the server keeps serving.
 
 A ``done`` answer (a ``request`` reply, or ``done: True`` on a
 ``result`` reply once every cell is committed) also detaches the
@@ -84,8 +93,8 @@ from typing import (Any, Callable, Dict, List, Optional, Sequence, Set,
                     Tuple)
 
 from .. import obs
-from .executors import (CellFailure, ExecutionContext, SweepExecutor,
-                        timed_cell)
+from .executors import (CellFailure, CellItem, ExecutionContext,
+                        SweepExecutor, timed_cell, timed_cell_kwargs)
 from .retry import RetryPolicy
 
 __all__ = [
@@ -120,6 +129,8 @@ SECRET_ENV = "CAPMAN_DIST_SECRET"
 IDLE_POLL_S = 0.05
 #: Executor loop tick: lease reaping, local fallback, finish check.
 EXECUTOR_POLL_S = 0.02
+#: Worker name of the executor's in-process fallback leases.
+_LOCAL_WORKER = "__local__"
 
 
 class ProtocolError(ConnectionError):
@@ -266,7 +277,7 @@ class FrameServerStats:
     #: Connections closed unserved because the admission cap was full.
     connections_shed: int = 0
     #: Frames rejected for framing reasons (bad magic/length/checksum,
-    #: torn reads, blown read deadlines).
+    #: torn reads, blown read deadlines) or, well-framed, by the handler.
     protocol_errors: int = 0
     #: Intact frames rejected for a missing/wrong HMAC tag.
     auth_failures: int = 0
@@ -290,7 +301,11 @@ class FrameServer:
     * **authentication**: frames are verified against
       :func:`protocol_secret` (resolved at :meth:`start`) before
       anything is unpickled; failures are counted, the connection is
-      closed without a reply, and the handler thread moves on.
+      closed without a reply, and the handler thread moves on;
+    * **malformed messages**: a well-framed message the handler
+      rejects (it raises: a missing field, an unknown op, a value of
+      the wrong shape) is answered ``{op: "error"}`` and counted in
+      ``protocol_errors``.
 
     ``gate`` (returning False to drop a connection unserved) and
     ``sender`` (replacing :func:`send_msg` for replies) are chaos
@@ -405,7 +420,14 @@ class FrameServer:
                     # sender's problem.  Never crash the server.
                     self.stats.protocol_errors += 1
                     return
-                reply = self.handler(message)
+                try:
+                    reply = self.handler(message)
+                except Exception as exc:
+                    self.stats.protocol_errors += 1
+                    reply = {"op": "error",
+                             "error": f"malformed {message['op']!r} "
+                                      f"message: {type(exc).__name__}: "
+                                      f"{exc}"}
                 try:
                     if self.sender is not None:
                         self.sender(conn, reply)
@@ -466,28 +488,31 @@ class _Lease:
 class SweepCoordinator:
     """Owns the lease table of one distributed sweep.
 
-    All state transitions happen under one lock, and every final
-    outcome flows through :meth:`commit` exactly once per cell index
-    -- the coordinator is what makes work-stealing, duplicate lease
-    delivery and worker loss safe for the journal.
+    All state transitions happen under one lock, through one path
+    each: :meth:`_lease_locked` creates every lease (worker grants,
+    steals, the executor's local fallback), :meth:`_charge_locked`
+    charges every expired attempt (lease expiry, crash recovery), and
+    :meth:`deliver` commits every result (remote or local) -- exactly
+    once per cell index, which is what makes work-stealing, duplicate
+    lease delivery and worker loss safe for the journal.
 
     The server side is a :class:`FrameServer`: one request + one
     response per connection, so a SIGKILL'd worker leaves no half-open
     session state behind -- only a lease that will expire.
 
     **Crash durability.**  When the execution context carries a
-    journal hook (``ctx.journal_append``), every lease grant and
-    renewal is written through the run journal *before* the reply
-    leaves this process, alongside the commits the runner already
-    journals.  A SIGKILLed coordinator therefore leaves a complete
-    account of its dispatch state: on restart (``ScenarioRunner.resume``)
-    the committed cells are replayed without recomputation, and every
-    lease that was in flight at the kill (``ctx.replayed_grants``) is
-    treated as expired -- charged one attempt and re-dispatched
-    through the sweep's :class:`~repro.sim.retry.RetryPolicy`, or
-    finally failed if its budget is spent.  Surviving workers
-    re-attach and re-deliver results by cell index, so first-commit-
-    wins dedupe holds across the crash exactly as within one run.
+    journal hook (``ctx.journal_append``), every lease grant is written
+    through the run journal *before* the reply leaves this process,
+    alongside the commits the runner already journals.  A SIGKILLed
+    coordinator therefore leaves a complete account of its dispatch
+    state: on restart (``ScenarioRunner.resume``) the committed cells
+    are replayed without recomputation, and every lease that was in
+    flight at the kill (``ctx.replayed_grants``) is treated as expired
+    -- charged one attempt and re-dispatched through the sweep's
+    :class:`~repro.sim.retry.RetryPolicy`, or finally failed if its
+    budget is spent.  Surviving workers re-attach and re-deliver
+    results by cell index, so first-commit-wins dedupe holds across
+    the crash exactly as within one run.
     """
 
     def __init__(
@@ -521,13 +546,13 @@ class SweepCoordinator:
         self._active: Dict[int, int] = {}
         #: index -> failed attempts (expired leases) so far.
         self._failed: Dict[int, int] = {}
-        self._done: Dict[int, Tuple[int, Any, float, int]] = {}
-        self._origin: Dict[int, str] = {}
+        self._done: Dict[int, CellItem] = {}
         self._workers: Dict[str, float] = {}
         self._ever_attached = False
-        #: Deferred (kind, value) events the executor thread drains to
-        #: update SimStats/obs off the handler threads.
-        self._events: List[Tuple[str, float]] = []
+        #: Backoff waits of retries scheduled since the last drain; the
+        #: executor thread accounts them on SimStats/obs, off the
+        #: handler threads.
+        self._retry_waits: List[float] = []
         #: Chaos injection: the next n grants leave the cell queued,
         #: so a second worker receives the *same* lease content.
         self._chaos_duplicate_leases = 0
@@ -582,44 +607,24 @@ class SweepCoordinator:
         ``ctx.replayed_grants`` maps cell index -> dispatch episodes a
         previous coordinator journalled without a matching commit.
         Each such cell was in flight (or about to be) at the crash:
-        charge the attempts, then re-dispatch through the retry policy
-        -- with its backoff and jitter, exactly like a lease that
-        expired in-process -- or finally fail the cell if the crash
-        consumed its whole budget.  Runs in the constructor, before
-        the server accepts connections.
+        charge the attempts exactly like a lease that expired
+        in-process.  Runs in the constructor, before the server
+        accepts connections.
         """
-        if not self._ctx.replayed_grants:
-            return
         now = time.monotonic()
         for index, grants in sorted(self._ctx.replayed_grants.items()):
             if index not in self._cells or grants <= 0:
                 continue
             self.stats.recovered_leases += grants
             self.stats.lease_expiries += grants
-            self._failed[index] = self._failed.get(index, 0) + grants
-            failed = self._failed[index]
-            cell = self._cells[index]
             self._ready = [(nb, i) for nb, i in self._ready if i != index]
-            if self._ctx.retry.allows(failed):
-                wait = self._ctx.retry.wait_s(failed, token=cell.label)
-                self.stats.retries += 1
-                self.stats.backoff_wait_s += wait
-                self._events.append(("retry", wait))
-                self._ready.append((now + wait, index))
-            else:
-                failure = CellFailure(
-                    label=cell.label,
-                    error_type="LeaseExpiredError",
-                    message=(f"lease expired {failed} times across "
-                             f"coordinator restarts (retry budget spent "
-                             f"before the crash)"),
-                    attempts=failed,
-                )
-                self._commit_locked(index, (index, failure, 0.0, 0),
-                                    origin="expired", adjust_attempts=False)
+            self._charge_locked(
+                index, grants, now,
+                "across coordinator restarts (retry budget spent before "
+                "the crash)")
 
     def _dispatch(self, message: Dict[str, Any]) -> Dict[str, Any]:
-        op = message.get("op")
+        op = message["op"]
         if op == "attach":
             return self._op_attach(str(message["worker"]))
         if op == "detach":
@@ -629,12 +634,12 @@ class SweepCoordinator:
         if op == "renew":
             return self._op_renew(str(message["lease"]))
         if op == "result":
-            return self._op_result(str(message["lease"]),
-                                   str(message.get("worker", "")),
-                                   message["payload"])
+            return self.deliver(str(message["lease"]),
+                                _as_item(message["item"]),
+                                worker=str(message["worker"]))
         if op == "status":
             return {"op": "status", **self.snapshot()}
-        return {"op": "error", "error": f"unknown op {op!r}"}
+        raise ProtocolError(f"unknown op {op!r}")
 
     # -- protocol ops --------------------------------------------------
     def _mark_seen_locked(self, worker: str) -> None:
@@ -670,13 +675,19 @@ class SweepCoordinator:
         with self._lock:
             self._mark_seen_locked(worker)
             self._reap_locked(now)
-            grant = self._next_grant_locked(worker, now)
-            if grant is not None:
-                return grant
-            if len(self._done) == len(self._cells):
-                self._detach_locked(worker)
-                return {"op": "done"}
-            return {"op": "idle", "wait_s": IDLE_POLL_S}
+            lease = self._lease_locked(worker, now)
+            if lease is None:
+                if len(self._done) == len(self._cells):
+                    self._detach_locked(worker)
+                    return {"op": "done"}
+                return {"op": "idle", "wait_s": IDLE_POLL_S}
+        # The reply (cell included) is pickled outside the lock.
+        return {
+            "op": "grant",
+            "lease": lease.lease_id,
+            "lease_timeout_s": self.lease_timeout_s,
+            "call": timed_cell_kwargs(self._cells[lease.index], self._ctx),
+        }
 
     def _op_renew(self, lease_id: str) -> Dict[str, Any]:
         with self._lock:
@@ -686,44 +697,35 @@ class SweepCoordinator:
             lease.deadline_monotonic = (time.monotonic()
                                         + self.lease_timeout_s)
             self._mark_seen_locked(lease.worker)
-            self._journal_locked("lease_renew", {
-                "lease": lease_id, "index": lease.index,
-                "worker": lease.worker})
             return {"op": "ok", "ok": True}
 
-    def _op_result(self, lease_id: str, worker: str,
-                   payload: bytes) -> Dict[str, Any]:
-        item = pickle.loads(payload)
-        index = item[0]
-        with self._lock:
-            lease = self._leases.pop(lease_id, None)
-            committed = self._commit_locked(index, item, origin="remote")
-            if committed:
-                self.stats.remote_cells += 1
-            done = len(self._done) == len(self._cells)
-            if done:
-                self._detach_locked(worker)
-            elif lease is not None:
-                self._workers[lease.worker] = time.monotonic()
-        return {"op": "ok", "committed": committed, "done": done}
-
     # -- core state transitions (all _locked) --------------------------
-    def _next_grant_locked(self, worker: str,
-                           now: float) -> Optional[Dict[str, Any]]:
+    def _lease_locked(self, worker: str, now: float) -> Optional[_Lease]:
+        """Lease the next ready cell to ``worker``, or None.
+
+        A remote worker facing an empty ready queue steals (a
+        duplicate lease on the oldest slow cell); the executor's local
+        fallback never steals, never takes a chaos duplicate, and gets
+        a generous deadline -- the parent cannot SIGKILL itself out
+        from under the lease, the deadline just keeps :meth:`reap`
+        honest.
+        """
+        remote = worker != _LOCAL_WORKER
         index = self._pop_ready_locked(now)
-        steal = False
-        if index is None:
+        steal = index is None and remote
+        if steal:
             index = self._steal_candidate_locked(now)
-            if index is None:
-                return None
-            steal = True
-            self.stats.steals += 1
+        if index is None:
+            return None
+        self.stats.steals += int(steal)
+        timeout = (self.lease_timeout_s if remote
+                   else max(self.lease_timeout_s, 3600.0))
         lease = _Lease(
             lease_id=uuid.uuid4().hex,
             index=index,
             worker=worker,
             granted_monotonic=now,
-            deadline_monotonic=now + self.lease_timeout_s,
+            deadline_monotonic=now + timeout,
             duplicate=steal,
         )
         self._leases[lease.lease_id] = lease
@@ -737,23 +739,12 @@ class SweepCoordinator:
             "index": index, "lease": lease.lease_id, "worker": worker,
             "duplicate": steal})
         self._ctx.started(index)
-        if self._chaos_duplicate_leases > 0 and not steal:
+        if self._chaos_duplicate_leases > 0 and remote and not steal:
             # Chaos: leave the cell in the queue too, so another
             # worker is handed the same cell concurrently.
             self._chaos_duplicate_leases -= 1
             self._ready.append((now, index))
-        ctx = self._ctx
-        cell = self._cells[index]
-        return {
-            "op": "grant",
-            "lease": lease.lease_id,
-            "cell": pickle.dumps(cell, protocol=4),
-            "lease_timeout_s": self.lease_timeout_s,
-            "cell_timeout_s": ctx.cell_timeout_s,
-            "ckpt_path": ctx.ckpts.get(index),
-            "ckpt_every": ctx.checkpoint_every_steps,
-            "obs_enabled": ctx.obs_enabled,
-        }
+        return lease
 
     def _pop_ready_locked(self, now: float) -> Optional[int]:
         """The first dispatchable queue entry (spec order among ready)."""
@@ -782,7 +773,7 @@ class SweepCoordinator:
         return best.index if best is not None else None
 
     def _reap_locked(self, now: float) -> None:
-        """Reclaim expired leases; requeue or finally fail their cells."""
+        """Reclaim expired leases and charge their cells."""
         expired = [lease for lease in self._leases.values()
                    if lease.deadline_monotonic < now]
         for lease in expired:
@@ -792,54 +783,59 @@ class SweepCoordinator:
             if index in self._done:
                 continue
             self.stats.lease_expiries += 1
-            self._events.append(("expiry", 1.0))
             if self._active.get(index, 0) > 0:
                 # A duplicate of this cell is still running; its own
                 # fate decides the cell.
                 continue
-            self._failed[index] = self._failed.get(index, 0) + 1
-            failed = self._failed[index]
-            cell = self._cells[index]
-            if self._ctx.retry.allows(failed):
-                wait = self._ctx.retry.wait_s(failed, token=cell.label)
-                self.stats.retries += 1
-                self.stats.backoff_wait_s += wait
-                self._events.append(("retry", wait))
-                self._ready.append((now + wait, index))
-            else:
-                failure = CellFailure(
-                    label=cell.label,
-                    error_type="LeaseExpiredError",
-                    message=(f"lease expired {failed} times (worker lost "
-                             f"or stalled past {self.lease_timeout_s} s)"),
-                    attempts=failed,
-                )
-                self._commit_locked(index, (index, failure, 0.0, 0),
-                                    origin="expired", adjust_attempts=False)
+            self._charge_locked(
+                index, 1, now,
+                f"worker lost or stalled past {self.lease_timeout_s} s")
 
-    def _commit_locked(self, index: int, item: Tuple[int, Any, float, int],
-                       origin: str, adjust_attempts: bool = True) -> bool:
+    def _charge_locked(self, index: int, attempts: int, now: float,
+                       why: str) -> None:
+        """Charge ``attempts`` expired leases to ``index``'s budget.
+
+        Requeues the cell after the retry policy's backoff (with its
+        deterministic jitter), or -- once the budget is spent -- commits
+        a ``LeaseExpiredError`` failure.
+        """
+        failed = self._failed[index] = self._failed.get(index, 0) + attempts
+        cell = self._cells[index]
+        if self._ctx.retry.allows(failed):
+            wait = self._ctx.retry.wait_s(failed, token=cell.label)
+            self.stats.retries += 1
+            self.stats.backoff_wait_s += wait
+            self._retry_waits.append(wait)
+            self._ready.append((now + wait, index))
+            return
+        failure = CellFailure(
+            label=cell.label,
+            error_type="LeaseExpiredError",
+            message=f"lease expired {failed} times ({why})",
+            attempts=failed,
+        )
+        self._commit_locked((index, failure, 0.0, 0), adjust_attempts=False)
+
+    def _commit_locked(self, item: CellItem,
+                       adjust_attempts: bool = True) -> bool:
         """Idempotently record a final outcome; True if it won."""
-        if index not in self._cells:
-            # After a coordinator restart this table holds only the
-            # *pending* cells; a surviving worker re-delivering a cell
-            # that was committed before the crash lands here.  Same
-            # verdict as any duplicate: discarded, counted, harmless.
+        index, outcome = item[0], item[1]
+        if index not in self._cells or index in self._done:
+            # Not in the table: after a coordinator restart it holds
+            # only the *pending* cells, so a surviving worker
+            # re-delivering a cell committed before the crash lands
+            # here.  Same verdict as any duplicate: discarded, counted,
+            # harmless.
             self.stats.duplicate_results += 1
             return False
-        if index in self._done:
-            self.stats.duplicate_results += 1
-            return False
-        outcome = item[1]
         attempts = self._failed.get(index, 0)
-        # A remotely-reported failure consumed one attempt on top of
-        # the expired ones; an expiry-created failure already carries
-        # its full count.
+        # A reported failure consumed one attempt on top of the
+        # expired ones; an expiry-created failure already carries its
+        # full count.
         if adjust_attempts and isinstance(outcome, CellFailure) and attempts:
             outcome = dataclasses.replace(outcome, attempts=attempts + 1)
-            item = (item[0], outcome, item[2], item[3])
+            item = (index, outcome, item[2], item[3])
         self._done[index] = item
-        self._origin[index] = origin
         # Every lease on this cell (steals, chaos duplicates) is now
         # moot; late results hit the duplicate branch above.
         for lease_id in [lid for lid, lease in self._leases.items()
@@ -870,42 +866,42 @@ class SweepCoordinator:
 
     def claim_local(self) -> Optional[Tuple[str, Any]]:
         """Lease one ready cell to the in-process fallback executor."""
-        now = time.monotonic()
         with self._lock:
-            index = self._pop_ready_locked(now)
-            if index is None:
-                return None
-            lease = _Lease(
-                lease_id=uuid.uuid4().hex,
-                index=index,
-                worker="__local__",
-                granted_monotonic=now,
-                # The parent cannot SIGKILL itself out from under the
-                # lease; a generous deadline keeps reap() honest anyway.
-                deadline_monotonic=now + max(self.lease_timeout_s, 3600.0),
-            )
-            self._leases[lease.lease_id] = lease
-            self._active[index] = self._active.get(index, 0) + 1
-            self.stats.leases_granted += 1
-            self._journal_locked("lease_grant", {
-                "index": index, "lease": lease.lease_id,
-                "worker": "__local__", "duplicate": False})
-            self._ctx.started(index)
-            return lease.lease_id, self._cells[index]
+            lease = self._lease_locked(_LOCAL_WORKER, time.monotonic())
+        if lease is None:
+            return None
+        return lease.lease_id, self._cells[lease.index]
 
-    def commit_local(self, lease_id: str,
-                     item: Tuple[int, Any, float, int]) -> bool:
+    def deliver(self, lease_id: str, item: CellItem,
+                worker: str = _LOCAL_WORKER) -> Dict[str, Any]:
+        """Commit a leased cell's outcome; the ``result`` reply.
+
+        The one commit path for worker results and the local
+        fallback's: first result per cell wins, later ones are counted
+        duplicates.  ``committed`` says whether this one won, ``done``
+        whether the sweep is now complete (which also detaches a
+        remote worker).
+        """
+        remote = worker != _LOCAL_WORKER
         with self._lock:
-            self._leases.pop(lease_id, None)
-            committed = self._commit_locked(item[0], item, origin="local")
-            if committed:
+            lease = self._leases.pop(lease_id, None)
+            committed = self._commit_locked(item)
+            if committed and remote:
+                self.stats.remote_cells += 1
+                self._ctx.collect_telemetry(item[1])
+            elif committed:
                 self.stats.local_fallback_cells += 1
-            return committed
+            done = len(self._done) == len(self._cells)
+            if remote and done:
+                self._detach_locked(worker)
+            elif remote and lease is not None:
+                self._workers[lease.worker] = time.monotonic()
+        return {"op": "ok", "committed": committed, "done": done}
 
-    def drain_events(self) -> List[Tuple[str, float]]:
+    def drain_retry_waits(self) -> List[float]:
         with self._lock:
-            events, self._events = self._events, []
-            return events
+            waits, self._retry_waits = self._retry_waits, []
+            return waits
 
     @property
     def finished(self) -> bool:
@@ -922,17 +918,13 @@ class SweepCoordinator:
         with self._lock:
             return self._ever_attached
 
-    def results(self) -> List[Tuple[int, Any, float, int]]:
+    def results(self) -> List[CellItem]:
         with self._lock:
             if len(self._done) != len(self._cells):
                 raise RuntimeError(
                     f"coordinator has {len(self._done)}/{len(self._cells)} "
                     f"results")
             return [self._done[index] for index in self._order]
-
-    def origins(self) -> Dict[int, str]:
-        with self._lock:
-            return dict(self._origin)
 
     def snapshot(self) -> Dict[str, Any]:
         self._sync_frame_stats()
@@ -945,6 +937,16 @@ class SweepCoordinator:
                 "workers": len(self._workers),
                 "stats": self.stats.as_dict(),
             }
+
+
+def _as_item(item: Any) -> CellItem:
+    """``item`` if it is an ``(index, outcome, seconds, steps)`` tuple."""
+    if not (isinstance(item, tuple) and len(item) == 4
+            and isinstance(item[0], int) and isinstance(item[2], float)
+            and isinstance(item[3], int)):
+        raise ProtocolError(
+            "result item is not an (index, outcome, seconds, steps) tuple")
+    return item
 
 
 # ----------------------------------------------------------------------
@@ -1140,20 +1142,13 @@ class SweepWorker:
 
     def _execute_grant(self, grant: Dict[str, Any]) -> bool:
         """Run one leased cell and deliver it; True when the sweep is done."""
-        cell = pickle.loads(grant["cell"])
         lease_id = grant["lease"]
         renewer = _LeaseRenewer(
             self.address, lease_id,
             interval_s=float(grant["lease_timeout_s"]) / 3.0)
         renewer.start()
         try:
-            item = timed_cell(
-                cell,
-                grant.get("cell_timeout_s"),
-                grant.get("ckpt_path"),
-                int(grant.get("ckpt_every") or 0),
-                obs_enabled=bool(grant.get("obs_enabled")),
-            )
+            item = timed_cell(**grant["call"])
         finally:
             renewer.stop()
         if isinstance(item[1], CellFailure):
@@ -1171,7 +1166,7 @@ class SweepWorker:
                     "op": "result",
                     "lease": lease_id,
                     "worker": self.worker_id,
-                    "payload": pickle.dumps(item, protocol=4),
+                    "item": item,
                 })
                 break
             except CoordinatorUnreachableError:
@@ -1234,7 +1229,6 @@ class DistributedExecutor(SweepExecutor):
         max_connections: int = 64,
         read_deadline_s: float = 10.0,
     ) -> None:
-        super().__init__()
         self.host = host
         self.port = port
         self.lease_timeout_s = lease_timeout_s
@@ -1247,7 +1241,6 @@ class DistributedExecutor(SweepExecutor):
         self.coordinator: Optional[SweepCoordinator] = None
         self.stats: DistStats = DistStats()
         self._procs: List[subprocess.Popen] = []
-        self._blobs: List[obs.RunTelemetry] = []
         #: Chaos request carried into the next run's coordinator.
         self._pending_duplicate_leases = 0
 
@@ -1264,8 +1257,8 @@ class DistributedExecutor(SweepExecutor):
         return [proc.pid for proc in self._procs if proc.poll() is None]
 
     # -- SweepExecutor -------------------------------------------------
-    def run(self, cells: Sequence[Any]) -> List[Tuple[int, Any, float, int]]:
-        ctx = self.ctx
+    def run(self, cells: Sequence[Any],
+            ctx: ExecutionContext) -> List[CellItem]:
         coordinator = SweepCoordinator(
             cells, ctx, host=self.host, port=self.port,
             lease_timeout_s=self.lease_timeout_s,
@@ -1278,35 +1271,24 @@ class DistributedExecutor(SweepExecutor):
                 self._pending_duplicate_leases)
             self._pending_duplicate_leases = 0
         self.coordinator = coordinator
-        self._blobs = []
         coordinator.start()
         started = time.monotonic()
         try:
             self._spawn_local_workers(coordinator.address)
             while not coordinator.finished:
                 coordinator.reap()
-                self._drain_events(ctx)
+                self._count_retries(coordinator, ctx)
                 if self._should_fall_back(coordinator, started):
                     claimed = coordinator.claim_local()
                     if claimed is not None:
                         lease_id, cell = claimed
-                        item = timed_cell(
-                            cell, ctx.cell_timeout_s,
-                            ctx.ckpts.get(cell.index),
-                            ctx.checkpoint_every_steps)
-                        coordinator.commit_local(lease_id, item)
+                        coordinator.deliver(
+                            lease_id,
+                            timed_cell(**timed_cell_kwargs(cell, ctx)))
                         continue
                 time.sleep(EXECUTOR_POLL_S)
-            self._drain_events(ctx)
+            self._count_retries(coordinator, ctx)
             items = coordinator.results()
-            if ctx.obs_enabled:
-                origins = coordinator.origins()
-                for item in items:
-                    if origins.get(item[0]) != "remote":
-                        continue
-                    blob = getattr(item[1], "telemetry", None)
-                    if blob is not None:
-                        self._blobs.append(blob)
             coordinator._sync_frame_stats()
             self.stats = coordinator.stats
             self._export_counters()
@@ -1314,10 +1296,6 @@ class DistributedExecutor(SweepExecutor):
         finally:
             self._reap_local_workers()
             coordinator.stop()
-
-    def remote_blobs(self) -> List[obs.RunTelemetry]:
-        blobs, self._blobs = self._blobs, []
-        return blobs
 
     # -- internals -----------------------------------------------------
     def _should_fall_back(self, coordinator: SweepCoordinator,
@@ -1333,13 +1311,11 @@ class DistributedExecutor(SweepExecutor):
             return True
         return time.monotonic() - started >= grace
 
-    def _drain_events(self, ctx: ExecutionContext) -> None:
-        coordinator = self.coordinator
-        if coordinator is None:
-            return
-        for kind, value in coordinator.drain_events():
-            if kind == "retry":
-                ctx.count_retry(value)
+    @staticmethod
+    def _count_retries(coordinator: SweepCoordinator,
+                       ctx: ExecutionContext) -> None:
+        for wait in coordinator.drain_retry_waits():
+            ctx.count_retry(wait)
 
     def _export_counters(self) -> None:
         ob = obs.session()

@@ -2,15 +2,11 @@
 
 :class:`~repro.sim.sweep.ScenarioRunner` decides *what* to run (cache
 misses, journal replay); a :class:`SweepExecutor` decides *where and
-how*.  The interface is deliberately small:
-
-* :meth:`SweepExecutor.attach` / :meth:`SweepExecutor.detach` bracket
-  one sweep and hand the executor its :class:`ExecutionContext`
-  (timeouts, checkpoint sidecars, retry policy, commit callback);
-* :meth:`SweepExecutor.submit` runs one cell to a final outcome --
-  a :data:`CellResult` or a contained :class:`CellFailure`;
-* :meth:`SweepExecutor.run` maps ``submit`` over a batch (backends
-  override it to fan out).
+how*.  The interface is one stateless call:
+:meth:`SweepExecutor.run` takes the pending cells and the sweep's
+:class:`ExecutionContext` (timeouts, checkpoint sidecars, retry
+policy, commit callback) and returns one final outcome per cell -- a
+:data:`CellResult` or a contained :class:`CellFailure`.
 
 :class:`LocalProcessExecutor` reproduces the historic in-repo
 behaviour byte-for-byte: serial in-process execution for one worker,
@@ -22,8 +18,9 @@ retry/backoff above that.  The distributed TCP backend lives in
 This module also owns the cell-execution primitives (single attempt,
 sidecar checkpointing, per-cell timeout, failure capture) that every
 backend shares -- a worker process on another host runs exactly the
-same :func:`timed_cell` as the serial loop, which is what keeps remote
-results byte-identical to local ones.
+same :func:`timed_cell`, with arguments from the same
+:func:`timed_cell_kwargs`, as the serial loop, which is what keeps
+remote results byte-identical to local ones.
 """
 
 from __future__ import annotations
@@ -58,6 +55,7 @@ __all__ = [
     "SweepExecutor",
     "LocalProcessExecutor",
     "timed_cell",
+    "timed_cell_kwargs",
     "choose_timeout_mechanism",
 ]
 
@@ -293,8 +291,9 @@ class ExecutionContext:
     """Everything a backend needs to run one sweep's pending cells.
 
     Built by :class:`~repro.sim.sweep.ScenarioRunner` and handed to
-    :meth:`SweepExecutor.attach`; immutable for the duration of one
-    sweep.
+    :meth:`SweepExecutor.run`; its configuration is fixed for the
+    duration of one sweep, and backends report back through
+    ``stats``, ``telemetry`` and the callbacks.
     """
 
     #: Per-cell wall-clock budget (None = unbounded).
@@ -330,6 +329,10 @@ class ExecutionContext:
     #: can distinguish queued from running cells.  Purely advisory --
     #: it must never raise and never affects results.
     on_start: Optional[Callable[[int], None]] = None
+    #: Telemetry blobs of cells computed *outside* this process, which
+    #: the runner folds into the sweep's blob.  In-process cells merge
+    #: their scopes into the live session directly and never land here.
+    telemetry: List[obs.RunTelemetry] = field(default_factory=list)
 
     def finalise(self, index: int, outcome: CellOutcome) -> None:
         if self.on_final is not None:
@@ -338,6 +341,12 @@ class ExecutionContext:
     def started(self, index: int) -> None:
         if self.on_start is not None:
             self.on_start(index)
+
+    def collect_telemetry(self, outcome: CellOutcome) -> None:
+        """Keep an out-of-process outcome's telemetry for the runner."""
+        blob = getattr(outcome, "telemetry", None)
+        if self.obs_enabled and blob is not None:
+            self.telemetry.append(blob)
 
     def count_retry(self, wait_s: float) -> None:
         """Account one retry (and its backoff wait) on stats + obs."""
@@ -359,64 +368,50 @@ class ExecutionContext:
             reasons[reason] = reasons.get(reason, 0) + 1
 
 
+def timed_cell_kwargs(cell: "ScenarioCell",
+                      ctx: ExecutionContext) -> Dict[str, Any]:
+    """The :func:`timed_cell` keyword arguments for ``cell`` under ``ctx``.
+
+    The one place a sweep's context becomes a cell call: the serial
+    loop, the process pool, the distributed local fallback and the
+    distributed grant frame all run ``timed_cell(**timed_cell_kwargs(...))``.
+    """
+    return {
+        "cell": cell,
+        "timeout_s": ctx.cell_timeout_s,
+        "ckpt_path": ctx.ckpts.get(cell.index),
+        "ckpt_every": ctx.checkpoint_every_steps,
+        "obs_enabled": ctx.obs_enabled,
+    }
+
+
 class SweepExecutor:
     """Interface every sweep backend implements.
 
-    The base class provides a serial reference implementation of
-    :meth:`run` in terms of :meth:`submit`; backends override what
-    they accelerate.  An executor instance is reusable across sweeps
-    but never concurrently: ``attach`` / ``detach`` bracket one sweep.
+    An executor holds configuration only; everything one sweep needs
+    arrives with the :class:`ExecutionContext` passed to :meth:`run`,
+    so an instance is reusable across sweeps.  The base class runs
+    cells serially in-process.
     """
 
     #: Human-readable backend name (also the SimStats/obs tag).
     name = "base"
 
-    def __init__(self) -> None:
-        self._ctx: Optional[ExecutionContext] = None
+    def run(self, cells: Sequence["ScenarioCell"],
+            ctx: ExecutionContext) -> List[CellItem]:
+        """Run ``cells`` to final outcomes (results or CellFailures).
 
-    # -- lifecycle -----------------------------------------------------
-    def attach(self, ctx: ExecutionContext) -> None:
-        """Bind this executor to one sweep's context."""
-        if self._ctx is not None:
-            raise RuntimeError(f"{type(self).__name__} is already attached")
-        self._ctx = ctx
-
-    def detach(self) -> None:
-        """Release the sweep binding (idempotent)."""
-        self._ctx = None
-
-    @property
-    def ctx(self) -> ExecutionContext:
-        if self._ctx is None:
-            raise RuntimeError(
-                f"{type(self).__name__} is not attached to a sweep")
-        return self._ctx
-
-    # -- execution -----------------------------------------------------
-    def submit(self, cell: "ScenarioCell") -> CellItem:
-        """Run one cell to a final outcome (result or CellFailure)."""
-        ctx = self.ctx
-        ctx.started(cell.index)
-        item = timed_cell(cell, ctx.cell_timeout_s,
-                          ctx.ckpts.get(cell.index),
-                          ctx.checkpoint_every_steps)
-        ctx.finalise(item[0], item[1])
-        return item
-
-    def run(self, cells: Sequence["ScenarioCell"]) -> List[CellItem]:
-        """Run a batch of cells; default maps :meth:`submit` serially."""
-        return [self.submit(cell) for cell in cells]
-
-    # -- introspection -------------------------------------------------
-    def remote_blobs(self) -> List[obs.RunTelemetry]:
-        """Telemetry blobs of cells computed *outside* this process.
-
-        In-process cells merge their scopes into the live session
-        directly; only out-of-process results carry blobs that the
-        runner must fold in.  Drained (and reset) by the runner after
-        :meth:`run`.
+        Every cell passes through ``ctx.started`` when dispatched and
+        ``ctx.finalise`` once when its outcome lands; items come back
+        in ``cells`` order.
         """
-        return []
+        items = []
+        for cell in cells:
+            ctx.started(cell.index)
+            item = timed_cell(**timed_cell_kwargs(cell, ctx))
+            ctx.finalise(item[0], item[1])
+            items.append(item)
+        return items
 
 
 class LocalProcessExecutor(SweepExecutor):
@@ -433,25 +428,17 @@ class LocalProcessExecutor(SweepExecutor):
     name = "local"
 
     def __init__(self, workers: int = 1) -> None:
-        super().__init__()
         self.workers = max(1, workers)
-        self._blobs: List[obs.RunTelemetry] = []
 
-    def attach(self, ctx: ExecutionContext) -> None:
-        super().attach(ctx)
-        self._blobs = []
-
-    def run(self, cells: Sequence["ScenarioCell"]) -> List[CellItem]:
+    def run(self, cells: Sequence["ScenarioCell"],
+            ctx: ExecutionContext) -> List[CellItem]:
         if self.workers <= 1 or len(cells) <= 1:
-            return [self.submit(cell) for cell in cells]
-        return self._run_pool(cells)
-
-    def remote_blobs(self) -> List[obs.RunTelemetry]:
-        blobs, self._blobs = self._blobs, []
-        return blobs
+            return super().run(cells, ctx)
+        return self._run_pool(cells, ctx)
 
     # ------------------------------------------------------------------
-    def _run_pool(self, pending: Sequence["ScenarioCell"]) -> List[CellItem]:
+    def _run_pool(self, pending: Sequence["ScenarioCell"],
+                  ctx: ExecutionContext) -> List[CellItem]:
         """Fan out with containment for killed workers.
 
         Exceptions raised *inside* a cell never reach the pool (the
@@ -464,13 +451,9 @@ class LocalProcessExecutor(SweepExecutor):
         its worker exhausts only its own attempt budget while the
         innocent bystanders complete.
         """
-        ctx = self.ctx
         retry_policy = ctx.retry
         outcomes: Dict[int, CellItem] = {}
         attempts: Dict[int, int] = {cell.index: 0 for cell in pending}
-        # Propagate the parent's observability switch into workers so
-        # each cell harvests its telemetry onto the returned result.
-        obs_on = ctx.obs_enabled
         todo: List["ScenarioCell"] = list(pending)
         isolate = False
         while todo:
@@ -480,10 +463,8 @@ class LocalProcessExecutor(SweepExecutor):
                 workers = min(self.workers, len(group))
                 with ProcessPoolExecutor(max_workers=workers) as pool:
                     futures = [
-                        (pool.submit(timed_cell, cell, ctx.cell_timeout_s,
-                                     ctx.ckpts.get(cell.index),
-                                     ctx.checkpoint_every_steps, obs_on),
-                         cell)
+                        (pool.submit(timed_cell,
+                                     **timed_cell_kwargs(cell, ctx)), cell)
                         for cell in group
                     ]
                     for _, cell in futures:
@@ -516,10 +497,7 @@ class LocalProcessExecutor(SweepExecutor):
                                 attempts=attempts[cell.index] + 1)
                         outcomes[cell.index] = (index, outcome, elapsed, steps)
                         ctx.finalise(index, outcome)
-                        if obs_on:
-                            blob = getattr(outcome, "telemetry", None)
-                            if blob is not None:
-                                self._blobs.append(blob)
+                        ctx.collect_telemetry(outcome)
             todo = retry
             # After any pool breakage, quarantine survivors one per pool.
             isolate = True

@@ -24,9 +24,8 @@ that implicit pattern into an explicit engine:
   grid always completes, and failed cells are never cached;
 * an optional write-ahead run journal
   (:class:`~repro.durability.journal.RunJournal`) makes the sweep
-  itself crash-durable: every cell start and every committed result is
-  an fsync'd record, long cells checkpoint mid-flight into sidecar
-  files, and :meth:`ScenarioRunner.resume` continues a SIGKILL'd sweep
+  itself crash-durable: every committed result is an fsync'd record,
+  long cells checkpoint mid-flight into sidecar files, and :meth:`ScenarioRunner.resume` continues a SIGKILL'd sweep
   without recomputing a single committed cell.
 
 Every scenario cell is pure: it builds its own policy copy, pack and
@@ -567,8 +566,7 @@ class ScenarioRunner:
         TCP backend lives in :mod:`repro.sim.distributed`.
     journal:
         Optional path of a write-ahead run journal.  :meth:`run` then
-        records every cell start and every committed result durably
-        (fsync per record), and :meth:`resume` can continue the sweep
+        records every committed result durably (fsync per record), and :meth:`resume` can continue the sweep
         after a crash/SIGKILL without recomputing committed cells.
         In-flight cells checkpoint into sidecar files under
         ``<journal>.d/`` and restart from their last checkpoint.
@@ -798,12 +796,6 @@ class ScenarioRunner:
                     ckpts[cell.index] = str(sidecar)
                     if sidecar.exists():
                         stats.cells_checkpoint_resumed += 1
-                for cell in pending:
-                    journal.append("cell_start", {
-                        "index": cell.index,
-                        "key": keys[cell.index],
-                        "label": cell.label,
-                    })
 
             def _finalise(index: int, outcome: CellOutcome) -> None:
                 """Durably commit a final outcome as it lands.
@@ -845,18 +837,13 @@ class ScenarioRunner:
                     replayed_grants=dict(replayed_grants or {}),
                     on_start=lambda index: self._set_state(index, "running"),
                 )
-                executor.attach(ctx)
-                try:
-                    computed = executor.run(pending)
-                finally:
-                    executor.detach()
+                computed = executor.run(pending, ctx)
                 stats.executor = executor.name
-                if observing:
-                    # Serially computed cells already merged their cycle
-                    # scopes into the sweep scope in-process; remote
-                    # cells ship their blobs on the result, and the
-                    # executor tells them apart.
-                    remote_blobs.extend(executor.remote_blobs())
+                # Serially computed cells already merged their cycle
+                # scopes into the sweep scope in-process; remote cells
+                # ship their blobs on the result, and the executor
+                # collects those on the context.
+                remote_blobs.extend(ctx.telemetry)
                 for index, result, elapsed, steps in computed:
                     results[index] = result
                     stats.compute_wall_s += elapsed

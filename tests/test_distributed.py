@@ -116,12 +116,12 @@ class TestCoordinator:
                 if reply["op"] == "done":
                     break
                 assert reply["op"] == "grant"
-                cell = pickle.loads(reply["cell"])
+                cell = reply["call"]["cell"]
                 seen.add(cell.index)
                 item = (cell.index, f"result-{cell.index}", 0.0, 0)
                 commit = rpc(address, {
                     "op": "result", "lease": reply["lease"], "worker": "w1",
-                    "payload": pickle.dumps(item)})
+                    "item": item})
                 assert commit["committed"] is True
             assert seen == {cell.index for cell in cells}
             assert sorted(index for index, _ in committed) == sorted(seen)
@@ -140,8 +140,8 @@ class TestCoordinator:
             time.sleep(0.2)  # let the lease lapse; never report
             second = rpc(address, {"op": "request", "worker": "w2"})
             assert second["op"] == "grant"  # same cell, re-dispatched
-            assert pickle.loads(second["cell"]).index == \
-                pickle.loads(first["cell"]).index
+            assert second["call"]["cell"].index == \
+                first["call"]["cell"].index
             assert coordinator.stats.lease_expiries == 1
             assert coordinator.stats.retries == 1
             time.sleep(0.2)  # second attempt lapses too: budget spent
@@ -174,12 +174,12 @@ class TestCoordinator:
         try:
             address = coordinator.address
             grant = rpc(address, {"op": "request", "worker": "w1"})
-            cell = pickle.loads(grant["cell"])
-            item = pickle.dumps((cell.index, "result", 0.0, 0))
+            cell = grant["call"]["cell"]
+            item = (cell.index, "result", 0.0, 0)
             first = rpc(address, {"op": "result", "lease": grant["lease"],
-                                  "worker": "w1", "payload": item})
+                                  "worker": "w1", "item": item})
             again = rpc(address, {"op": "result", "lease": grant["lease"],
-                                  "worker": "w1", "payload": item})
+                                  "worker": "w1", "item": item})
             assert first["committed"] is True
             assert again["committed"] is False
             assert coordinator.stats.duplicate_results == 1
@@ -197,14 +197,14 @@ class TestCoordinator:
             time.sleep(0.15)
             thief = rpc(address, {"op": "request", "worker": "thief"})
             assert thief["op"] == "grant"  # duplicate lease on the cell
-            assert pickle.loads(thief["cell"]).index == \
-                pickle.loads(slow["cell"]).index
+            assert thief["call"]["cell"].index == \
+                slow["call"]["cell"].index
             assert coordinator.stats.steals == 1
-            item = pickle.dumps((0, "stolen-result", 0.0, 0))
+            item = (0, "stolen-result", 0.0, 0)
             fast = rpc(address, {"op": "result", "lease": thief["lease"],
-                                 "worker": "thief", "payload": item})
+                                 "worker": "thief", "item": item})
             late = rpc(address, {"op": "result", "lease": slow["lease"],
-                                 "worker": "slow", "payload": item})
+                                 "worker": "slow", "item": item})
             assert fast["committed"] is True
             assert late["committed"] is False
             assert len(committed) == 1
@@ -219,15 +219,15 @@ class TestCoordinator:
             one = rpc(address, {"op": "request", "worker": "w1"})
             two = rpc(address, {"op": "request", "worker": "w2"})
             assert one["op"] == two["op"] == "grant"
-            assert pickle.loads(one["cell"]).index == \
-                pickle.loads(two["cell"]).index
-            item = pickle.dumps((0, "result", 0.0, 0))
+            assert one["call"]["cell"].index == \
+                two["call"]["cell"].index
+            item = (0, "result", 0.0, 0)
             assert rpc(address, {"op": "result", "lease": one["lease"],
                                  "worker": "w1",
-                                 "payload": item})["committed"]
+                                 "item": item})["committed"]
             assert not rpc(address, {"op": "result", "lease": two["lease"],
                                      "worker": "w2",
-                                     "payload": item})["committed"]
+                                     "item": item})["committed"]
             assert len(committed) == 1
         finally:
             coordinator.stop()
@@ -278,6 +278,43 @@ class TestAuth:
             assert coordinator.frame_stats.protocol_errors >= 1
         finally:
             coordinator.stop()
+
+
+class TestMalformedMessages:
+    def test_malformed_messages_get_an_error_reply(self, trace):
+        coordinator, cells, committed = _coordinator(trace, mahs=(30,))
+        try:
+            address = coordinator.address
+            # Well-framed but missing the worker field.
+            assert rpc(address, {"op": "request"})["op"] == "error"
+            # A result whose item is not an (index, outcome, seconds,
+            # steps) tuple: opaque bytes, then a tuple of wrong types.
+            for item in (b"\x80not-an-item", ("0", "result", 0.0, 0)):
+                reply = rpc(address, {"op": "result", "lease": "l",
+                                      "worker": "w1", "item": item})
+                assert reply["op"] == "error"
+            assert coordinator.frame_stats.protocol_errors == 3
+            assert committed == []
+            # The server kept serving.
+            assert rpc(address, {"op": "attach", "worker": "w1"})["op"] \
+                == "ok"
+        finally:
+            coordinator.stop()
+
+    def test_cache_server_answers_malformed_requests(self, tmp_path):
+        from repro.sim.cache_server import CacheServer
+
+        server = CacheServer(tmp_path / "served")
+        address = server.start()
+        try:
+            assert rpc(address, {"op": "cache_get"})["op"] == "error"
+            assert rpc(address, {"op": "cache_put", "key": "k",
+                                 "payload": b"\x80garbage"})["op"] \
+                == "error"
+            assert server.frame_stats.protocol_errors == 2
+            assert rpc(address, {"op": "cache_ping"})["ok"] is True
+        finally:
+            server.stop()
 
 
 class TestAdmissionControl:

@@ -31,28 +31,12 @@ def _spec(trace, **kwargs):
 
 
 class TestInterface:
-    def test_attach_detach_lifecycle(self):
-        ex = SweepExecutor()
-        with pytest.raises(RuntimeError):
-            _ = ex.ctx  # unattached
-        ctx = ExecutionContext()
-        ex.attach(ctx)
-        assert ex.ctx is ctx
-        with pytest.raises(RuntimeError):
-            ex.attach(ctx)  # double attach
-        ex.detach()
-        ex.detach()  # idempotent
-        ex.attach(ctx)  # reusable after detach
-        ex.detach()
-
     def test_base_executor_runs_cells_and_finalises(self, trace):
         committed = []
         ex = SweepExecutor()
-        ex.attach(ExecutionContext(
-            on_final=lambda index, outcome: committed.append(index)))
         cells = _spec(trace).expand()
-        items = ex.run(cells)
-        ex.detach()
+        items = ex.run(cells, ExecutionContext(
+            on_final=lambda index, outcome: committed.append(index)))
         assert [item[0] for item in items] == [cell.index for cell in cells]
         assert committed == [cell.index for cell in cells]
         assert not any(isinstance(item[1], CellFailure) for item in items)
@@ -71,9 +55,9 @@ class TestInterface:
             name = "recording"
             seen = []
 
-            def run(self, cells):
+            def run(self, cells, ctx):
                 self.seen.append(len(cells))
-                return super().run(cells)
+                return super().run(cells, ctx)
 
         ex = Recording(workers=1)
         result = ScenarioRunner(executor=ex).run(_spec(trace))

@@ -165,3 +165,42 @@ class TestDecisionCache:
             sched.decide(s)
         assert sched.stats.refine_s >= 0.0
         assert sched.stats.lookup_s > 0.0
+
+
+class TestPythonVersionParity:
+    """Pinned bits: the refinement sweeps must give these exact floats
+    on every Python version.
+
+    Each backup accumulates left to right in an explicit loop; a
+    ``sum()`` would switch to compensated summation on Python 3.12,
+    which changes the refined value of ``s0`` on this MDP in its last
+    bit.
+    """
+
+    STATES = ["s0", "s1", "s2"]
+    PROBS = {
+        ("s0", "x"): (0.3, 0.5, 0.2), ("s0", "y"): (0.2, 0.3, 0.5),
+        ("s1", "x"): (0.2, 0.4, 0.4), ("s1", "y"): (0.8, 0.1, 0.1),
+        ("s2", "x"): (0.7, 0.1, 0.2), ("s2", "y"): (0.2, 0.4, 0.4),
+    }
+    REWARDS = {
+        ("s0", "x"): (0.03, 0.84, 0.43), ("s0", "y"): (0.76, 0.0, 0.45),
+        ("s1", "x"): (0.72, 0.23, 0.95), ("s1", "y"): (0.9, 0.03, 0.03),
+        ("s2", "x"): (0.54, 0.94, 0.38), ("s2", "y"): (0.22, 0.42, 0.03),
+    }
+
+    def test_refined_values_bits(self):
+        mdp = MDP(
+            self.STATES,
+            ["x", "y"],
+            {k: dict(zip(self.STATES, ps)) for k, ps in self.PROBS.items()},
+            {(s, a, sp): r for (s, a), rs in self.REWARDS.items()
+             for sp, r in zip(self.STATES, rs)},
+        )
+        sched = OnlineScheduler(mdp, rho=0.9)
+        assert sched.refinement_sweep_count() == 47
+        sched.decide("s0")
+        assert [v.hex() for v in sched.solution.values.values()] == [
+            "0x1.74081831185c4p+2", "0x1.7e0f6808cb0b4p+2",
+            "0x1.728888b12012dp+2",
+        ]

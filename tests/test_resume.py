@@ -15,6 +15,7 @@ import pickle
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -22,6 +23,7 @@ import pytest
 
 import repro
 from repro.durability.journal import JournalError, RunJournal
+from repro.sim.distributed import DistributedExecutor, SweepWorker
 from repro.sim.sweep import ScenarioRunner
 
 import resume_helper
@@ -141,3 +143,46 @@ class TestJournalledRun:
             ScenarioRunner(workers=1).resume()
         with pytest.raises(JournalError):
             ScenarioRunner(workers=1).resume(tmp_path / "absent.journal")
+
+
+class TestJournalRecordTypes:
+    """The journal holds only the records :meth:`ScenarioRunner.resume`
+    reads: the header, lease grants (crash recovery) and commits."""
+
+    def test_local_run_writes_start_and_commits_only(self, tmp_path):
+        journal = tmp_path / "local.journal"
+        spec = resume_helper.build_spec(delay_s=0.0)
+        ScenarioRunner(workers=1, journal=journal).run(spec)
+        types = [r["type"] for r in RunJournal.replay(journal)]
+        assert set(types) == {"sweep_start", "cell_commit"}
+        assert types.count("cell_commit") == len(spec)
+
+    def test_distributed_run_writes_grants_but_no_renewals(self, tmp_path):
+        # Cells outlast several renewal intervals (lease_timeout_s / 3),
+        # so a renewal record, if one were written, would show up.
+        journal = tmp_path / "dist.journal"
+        spec = resume_helper.build_spec(delay_s=0.5)
+        executor = DistributedExecutor(lease_timeout_s=0.6,
+                                       local_fallback=False)
+        done = {}
+
+        def sweep():
+            done["result"] = ScenarioRunner(
+                executor=executor, journal=journal).run(spec)
+
+        sweeper = threading.Thread(target=sweep)
+        sweeper.start()
+        try:
+            deadline = time.monotonic() + 10.0
+            while executor.coordinator is None:
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            SweepWorker(executor.coordinator.address,
+                        worker_id="journal-probe").run()
+        finally:
+            sweeper.join(timeout=60.0)
+        assert not sweeper.is_alive()
+        assert not done["result"].failures
+        types = [r["type"] for r in RunJournal.replay(journal)]
+        assert set(types) == {"sweep_start", "lease_grant", "cell_commit"}
+        assert types.count("cell_commit") == len(spec)
