@@ -6,8 +6,8 @@
    structural-similarity recursion.
 3. Verifies the Eq. (10) competitiveness bound
    ``|V*_u - V*_v| <= delta_S*(u, v) / (1 - rho)`` on every state pair.
-4. Measures the online scheduler's decision overhead across a rho
-   sweep (the Figure 16 trade-off).
+4. Measures the modelled per-decision overhead across a rho sweep
+   (the Figure 16 trade-off).
 
 Run:  python examples/mdp_playground.py
 """

@@ -5,12 +5,13 @@
 * a :class:`~repro.capman.profiler.PowerProfiler` accumulates device
   power-state transitions online (no future knowledge);
 * every ``replan_interval`` observations the decision MDP is rebuilt
-  and handed to an :class:`~repro.core.online.OnlineScheduler`, which
-  answers per-step battery decisions with the similarity-reuse fast
-  path and the Eq. (10) competitiveness guarantee;
-* before enough statistics exist, a conservative burst heuristic
-  stands in -- reproducing the paper's observation that CAPMAN "drains
-  fast in the beginning" on PCMark and then improves as it learns;
+  and solved into an :class:`~repro.core.online.OnlineScheduler`, and
+  each control step looks its (device state, active battery) up in the
+  solved policy;
+* before enough statistics exist, and for a state the learned policy
+  does not cover, a conservative burst heuristic stands in --
+  reproducing the paper's observation that CAPMAN "drains fast in the
+  beginning" on PCMark and then improves as it learns;
 * the TEC is driven by the 45 degC thermostat (harness side), and the
   policy leans LITTLE while the hot spot is active, since the TEC's
   power surge is exactly the short-burst demand the LITTLE battery is
@@ -53,8 +54,8 @@ class CapmanPolicy(SchedulingPolicy):
     capacity_mah:
         Per-cell capacity of the big.LITTLE pack.
     rho:
-        MDP discount factor; trades decision quality against the
-        decision overhead of Figure 16.
+        MDP discount factor in ``[0, 1)``; trades decision quality
+        against the decision overhead of Figure 16.
     replan_interval:
         Observations between MDP rebuild + re-solve passes (the
         background calibration cadence).
@@ -77,6 +78,12 @@ class CapmanPolicy(SchedulingPolicy):
     _prev_demand: Optional[DemandSlice] = field(init=False, default=None, repr=False)
     _prev_syscall: Optional[Syscall] = field(init=False, default=None, repr=False)
     _since_replan: int = field(init=False, default=0, repr=False)
+
+    def __post_init__(self) -> None:
+        # Reject at construction what the first replan's solve would
+        # reject mid-run (NaN fails the comparison too).
+        if not 0.0 <= self.rho < 1.0:
+            raise ValueError("rho must lie in [0, 1)")
 
     # ------------------------------------------------------------------
     def build_pack(self) -> BatteryPack:
@@ -163,13 +170,10 @@ class CapmanPolicy(SchedulingPolicy):
         if scheduler is None or self._profiler is None:
             return None
         key = device_key_of(ctx.demand, self._profiler.profile.wifi_model.threshold_kbps)
-        state = self.decision_state(key, ctx.active)
-        if state not in scheduler.solution.policy:
-            return None
-        record = scheduler.decide(state)
-        if record.action == "use_little":
+        action = scheduler.decide(self.decision_state(key, ctx.active))
+        if action == "use_little":
             return BatterySelection.LITTLE
-        if record.action == "use_big":
+        if action == "use_big":
             return BatterySelection.BIG
         return None
 

@@ -14,7 +14,7 @@ from .graph import ActionNode, MDPGraph
 from .hausdorff import directed_hausdorff, hausdorff, hausdorff_matrix
 from .mdp import MDP, random_mdp
 from .minflow import MinCostFlow, transport, transport_dense
-from .online import DecisionRecord, OnlineScheduler, SchedulerStats
+from .online import OnlineScheduler
 from .policy import Policy, RandomPolicy, TabularPolicy, rollout_return
 from .similarity import SimilarityResult, SolverStats, StructuralSimilarity
 from .solver import Solution, policy_evaluation, policy_iteration, value_iteration
@@ -44,9 +44,7 @@ __all__ = [
     "MinCostFlow",
     "transport",
     "transport_dense",
-    "DecisionRecord",
     "OnlineScheduler",
-    "SchedulerStats",
     "Policy",
     "RandomPolicy",
     "TabularPolicy",

@@ -191,9 +191,10 @@ class _LearningTrajectory:
         """One replan boundary: rebuild, solve, flatten to a table.
 
         ``value_iteration(mdp, rho)`` is exactly what
-        ``OnlineScheduler.__init__`` runs to obtain ``solution``; the
-        scheduler's similarity graph is never consulted for known
-        states, so the fleet skips constructing it.
+        ``OnlineScheduler.__init__`` runs, and the scalar's per-step
+        decision is a lookup in that solution's policy, so the table
+        reproduces it: a state the policy lacks keeps the ``-1`` that
+        routes it to the burst fallback.
         """
         mdp = self.profiler.build_decision_mdp()
         solution = value_iteration(mdp, self.rho)

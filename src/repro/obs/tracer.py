@@ -2,7 +2,7 @@
 
 The span hierarchy mirrors the run structure::
 
-    sweep -> cell -> discharge -> similarity.solve / scheduler.* / ...
+    sweep -> cell -> discharge -> profiler.build_decision_mdp / ...
                  \\-> daily -> day -> discharge -> ...
 
 Every span is timed with :func:`time.monotonic` (bound at import so a

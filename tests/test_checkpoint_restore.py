@@ -20,8 +20,7 @@ from repro.battery.cell import Cell
 from repro.battery.chemistry import CHEMISTRIES, LMO, NCA
 from repro.battery.pack import BigLittlePack
 from repro.capman.baselines import DualPolicy, PracticePolicy
-from repro.core.mdp import random_mdp
-from repro.core.online import OnlineScheduler
+from repro.capman.controller import CapmanPolicy
 from repro.device.phone import DemandSlice, Phone
 from repro.durability.budget import BudgetExceededError, RunBudget
 from repro.durability.snapshot import Checkpointer, SimCheckpoint
@@ -191,42 +190,6 @@ class TestSegmentStreamRestore:
 
 
 # ----------------------------------------------------------------------
-# Scheduler memo/decision caches
-# ----------------------------------------------------------------------
-class TestSchedulerRestore:
-    @settings(max_examples=15, deadline=None)
-    @given(
-        seed=st.integers(0, 1000),
-        picks=st.lists(st.integers(0, 7), min_size=2, max_size=12),
-        split=st.integers(1, 11),
-    )
-    def test_restore_preserves_decisions_and_caches(self, seed, picks, split):
-        split = min(split, len(picks) - 1)
-        mdp = random_mdp(8, 3, branching=2, seed=seed, absorbing=1)
-
-        original = OnlineScheduler(mdp, rho=0.8)
-        for i in picks[:split]:
-            original.decide(mdp.states[i])
-        snapshot = original.state_dict()
-
-        restored = OnlineScheduler(mdp, rho=0.8)
-        restored.load_state_dict(snapshot)
-        # The snapshot carries the full decision history verbatim.
-        assert restored.decisions == original.decisions
-
-        def deterministic(records):
-            # Latency is wall clock; the decision itself is the contract.
-            return [(r.state, r.action, r.source) for r in records]
-
-        for i in picks[split:]:
-            a = original.decide(mdp.states[i])
-            b = restored.decide(mdp.states[i])
-            assert (a.action, a.source) == (b.action, b.source)
-        assert deterministic(original.decisions) == deterministic(restored.decisions)
-        assert pickle.dumps(original.solution) == pickle.dumps(restored.solution)
-
-
-# ----------------------------------------------------------------------
 # Full harness: interrupt-at-k resume == uninterrupted run
 # ----------------------------------------------------------------------
 def _result_bytes(result) -> bytes:
@@ -243,7 +206,7 @@ class TestDischargeResume:
     @settings(max_examples=8, deadline=None)
     @given(
         k=st.integers(1, 120),
-        policy_cls=st.sampled_from([DualPolicy, PracticePolicy]),
+        policy_cls=st.sampled_from([DualPolicy, PracticePolicy, CapmanPolicy]),
     )
     def test_interrupted_resume_matches_uninterrupted(self, k, policy_cls,
                                                       short_trace):
@@ -265,6 +228,23 @@ class TestDischargeResume:
         else:
             # Budget larger than the whole run: nothing to resume.
             return
+        assert _result_bytes(resumed) == _result_bytes(reference)
+
+    def test_capman_resume_after_replan_matches_uninterrupted(self,
+                                                              short_trace):
+        """The checkpoint carries a live profiler and a solved scheduler."""
+        kwargs = dict(control_dt=2.0, max_duration_s=900.0)
+        reference = run_discharge_cycle(
+            CapmanPolicy(capacity_mah=40.0), short_trace, **kwargs)
+
+        policy = CapmanPolicy(capacity_mah=40.0)
+        with pytest.raises(BudgetExceededError) as exc:
+            run_discharge_cycle(policy, short_trace, checkpointer=Checkpointer(),
+                                budget=RunBudget(max_steps=30), **kwargs)
+        assert policy.scheduler is not None
+        resumed = run_discharge_cycle(
+            CapmanPolicy(capacity_mah=40.0), short_trace,
+            resume_from=exc.value.checkpoint, **kwargs)
         assert _result_bytes(resumed) == _result_bytes(reference)
 
     def test_checkpoint_fingerprint_guards_config(self, short_trace):

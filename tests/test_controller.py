@@ -51,6 +51,12 @@ class TestLifecycle:
     def test_scheduler_absent_before_learning(self, started_policy):
         assert started_policy.scheduler is None
 
+    @pytest.mark.parametrize("rho", [1.0, 1.5, -0.1, float("nan")])
+    def test_rho_outside_unit_interval_rejected(self, rho):
+        # Caught at construction, not at the first replan mid-run.
+        with pytest.raises(ValueError):
+            CapmanPolicy(rho=rho)
+
 
 class TestFallbackPhase:
     def test_burst_goes_little_before_model_exists(self, started_policy):

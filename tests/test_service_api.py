@@ -81,9 +81,13 @@ class TestContract:
         assert code == 400
         assert body["error"]["code"] == "unknown_policy"
 
-    def test_bad_policy_arguments_are_400(self, base):
+    @pytest.mark.parametrize("policy", [
+        {"type": "dual", "warp_factor": 9},
+        {"type": "capman", "rho": 1.5},
+    ], ids=["unknown_argument", "capman_rho_out_of_range"])
+    def test_bad_policy_arguments_are_400(self, base, policy):
         grid = small_grid()
-        grid["policies"]["D30"] = {"type": "dual", "warp_factor": 9}
+        grid["policies"]["D30"] = policy
         code, body = api(base, "POST", "/jobs", body=grid, token=SECRET)
         assert code == 400
         assert body["error"]["code"] == "invalid_spec"
